@@ -3,7 +3,7 @@
 GO ?= go
 BENCH_JSON ?= BENCH_plb.json
 
-.PHONY: all build test race bench bench-smoke bench-compare experiments experiments-quick faults shootout frontier daemon-smoke chaos-smoke lint clean
+.PHONY: all build test race bench bench-smoke bench-compare bench-check experiments experiments-quick faults shootout frontier daemon-smoke chaos-smoke lint clean
 
 all: build test
 
@@ -38,6 +38,14 @@ bench-smoke:
 BENCH_NEW ?= $(BENCH_JSON)
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare BENCH_plb.json $(BENCH_NEW)
+
+# bench-check vets and tests the end-to-end benchmark (bench/, its own
+# Go module, so `go test ./...` never builds it): the toy-scale smoke
+# of every workload runs in seconds, so an API change that breaks the
+# benchmark fails here instead of silently.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # Full reproduction of the paper's evaluation (laptop-minutes).
 experiments:

@@ -30,6 +30,7 @@ package detect
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -220,6 +221,9 @@ type Detector struct {
 	state     []State
 	offset    []int64 // per-processor heartbeat stagger in [0, HeartbeatEvery)
 	rng       *xrand.Stream
+	// nextCheck is the earliest step at which any Alive or Suspected
+	// peer can cross its deadline; Tick before it is a no-op.
+	nextCheck int64
 
 	suspicions   int64
 	readmissions int64
@@ -264,13 +268,22 @@ func (d *Detector) Heard(p int32, now int64) {
 	if d.state[p] != Alive {
 		d.state[p] = Alive
 		d.readmissions++
+		if due := d.lastHeard[p] + d.cfg.SuspectAfter + 1; due < d.nextCheck {
+			d.nextCheck = due
+		}
 	}
 }
 
 // Tick advances the deadline sweep to step now: peers silent past
 // SuspectAfter become Suspected, past DownAfter become Down. Call once
-// per step after delivering traffic.
+// per step after delivering traffic. A call before the earliest
+// possible deadline returns at once: Heard only ever postpones a
+// deadline, except on re-admission, which pulls nextCheck in.
 func (d *Detector) Tick(now int64) {
+	if now < d.nextCheck {
+		return
+	}
+	next := int64(math.MaxInt64)
 	for p := range d.state {
 		silence := now - d.lastHeard[p]
 		switch {
@@ -288,7 +301,16 @@ func (d *Detector) Tick(now int64) {
 				d.state[p] = Suspected
 			}
 		}
+		due := int64(math.MaxInt64)
+		switch d.state[p] {
+		case Alive:
+			due = d.lastHeard[p] + d.cfg.SuspectAfter + 1
+		case Suspected:
+			due = d.lastHeard[p] + d.cfg.DownAfter + 1
+		}
+		next = min(next, due)
 	}
+	d.nextCheck = next
 }
 
 // State returns the current verdict for peer p (Alive out of range —

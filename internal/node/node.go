@@ -89,7 +89,8 @@ type Config struct {
 	// the schedule-derived defaults).
 	Detect detect.Config
 	// Peers lists the ids greeted by the startup join volley; nil
-	// means every other id in [0, N).
+	// means every other id in [0, N). Ids outside [0, N) and the node's
+	// own id are ignored.
 	Peers []int32
 	// Epoch is this incarnation's epoch number, carried on every
 	// outbound transfer so receivers and the conservation ledger can
@@ -121,6 +122,51 @@ type pendingXfer struct {
 // at-least-once degradation, not the common path).
 const dedupLen = 512
 
+// dedupRing is one sender's window of applied transfer sequence
+// numbers. maxSeq bounds every entry (-1, the empty-slot fill, before
+// the first), so a seq above it is new without a scan — the common
+// case, since a sender's seqs only grow within an incarnation and its
+// KindJoin deletes the ring. The window sits behind a pointer so it
+// stays an exact 2 KiB allocation: embedding it beside the counters
+// would round every ring up to the next size class (2304 B), and with
+// one ring per (receiver, sender) pair the rings are most of a
+// transfer-heavy fleet's live heap.
+type dedupRing struct {
+	seqs   *[dedupLen]int32
+	pos    int
+	maxSeq int32
+}
+
+func newDedupRing() *dedupRing {
+	r := &dedupRing{seqs: new([dedupLen]int32), maxSeq: -1}
+	for i := range r.seqs {
+		r.seqs[i] = -1
+	}
+	return r
+}
+
+// has reports whether seq is in the window.
+func (r *dedupRing) has(seq int32) bool {
+	if seq > r.maxSeq {
+		return false
+	}
+	for _, s := range r.seqs {
+		if s == seq {
+			return true
+		}
+	}
+	return false
+}
+
+// add records seq, evicting the oldest entry.
+func (r *dedupRing) add(seq int32) {
+	r.seqs[r.pos] = seq
+	r.pos = (r.pos + 1) % dedupLen
+	if seq > r.maxSeq {
+		r.maxSeq = seq
+	}
+}
+
 // Node is one processor's runtime.
 type Node struct {
 	cfg   Config
@@ -130,13 +176,15 @@ type Node struct {
 	queue deque.Deque[task.Task]
 	rec   task.Recorder
 
-	now       int64
-	active    map[int32]bool
-	greeted   map[int32]bool
+	now int64
+	// peers is the active set in id order; isPeer and greeted are
+	// indexed by id over [0, N).
+	peers     []int32
+	isPeer    []bool
+	greeted   []bool
 	nextSeq   int32
 	inflight  map[int32]*pendingXfer // seq -> block
-	dedup     map[int32]*[dedupLen]int32
-	dedupPos  map[int32]int
+	dedup     map[int32]*dedupRing   // sender -> applied seqs
 	nextProbe int64
 
 	draining bool
@@ -200,11 +248,10 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 		tr:       tr,
 		rng:      xrand.New(cfg.Seed).Split(uint64(cfg.ID) + 0x9e3779b9),
 		det:      det,
-		active:   make(map[int32]bool),
-		greeted:  make(map[int32]bool),
+		isPeer:   make([]bool, cfg.N),
+		greeted:  make([]bool, cfg.N),
 		inflight: make(map[int32]*pendingXfer),
-		dedup:    make(map[int32]*[dedupLen]int32),
-		dedupPos: make(map[int32]int),
+		dedup:    make(map[int32]*dedupRing),
 		epoch:    uint8(cfg.Epoch),
 	}
 	if cfg.Ledger {
@@ -220,11 +267,11 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 		}
 	}
 	for _, p := range peers {
-		n.active[p] = true
+		n.admit(p)
 	}
 	// Startup join volley: announce this node to every bootstrap peer
 	// so fleets assembled in any order converge on one active set.
-	for _, p := range peers {
+	for _, p := range n.peers {
 		n.send(transport.Message{From: cfg.ID, To: p, Kind: transport.KindJoin})
 	}
 	return n, nil
@@ -392,18 +439,18 @@ func (n *Node) handle(m transport.Message) {
 		// incarnation must be discarded or every early block would be
 		// acked-but-dropped as a stale retransmit.
 		delete(n.dedup, m.From)
-		delete(n.dedupPos, m.From)
-		if !n.active[m.From] && m.From != n.cfg.ID && m.From >= 0 {
-			n.active[m.From] = true
+		if !n.inFleet(m.From) {
+			return
 		}
+		n.admit(m.From)
 		// Greet back once so both sides converge even when only one had
 		// the other in its bootstrap volley.
-		if !n.greeted[m.From] && m.From >= 0 {
+		if !n.greeted[m.From] {
 			n.greeted[m.From] = true
 			n.send(transport.Message{From: n.cfg.ID, To: m.From, Kind: transport.KindJoin})
 		}
 	case transport.KindDrain, transport.KindLeave:
-		delete(n.active, m.From)
+		n.evict(m.From)
 	case transport.KindHeartbeat:
 		// Liveness evidence only; Heard already ran.
 	}
@@ -416,21 +463,15 @@ func (n *Node) applyTransfer(m transport.Message) {
 	n.send(transport.Message{From: n.cfg.ID, To: m.From, Kind: transport.KindTransferAck, B: m.B})
 	ring, ok := n.dedup[m.From]
 	if !ok {
-		ring = &[dedupLen]int32{}
-		for i := range ring {
-			ring[i] = -1
-		}
+		ring = newDedupRing()
 		n.dedup[m.From] = ring
 	}
-	for _, seq := range ring {
-		if seq == m.B {
-			n.dupDropped++
-			n.logIn(m, false)
-			return
-		}
+	if ring.has(m.B) {
+		n.dupDropped++
+		n.logIn(m, false)
+		return
 	}
-	ring[n.dedupPos[m.From]] = m.B
-	n.dedupPos[m.From] = (n.dedupPos[m.From] + 1) % dedupLen
+	ring.add(m.B)
 	n.logIn(m, true)
 	injected := m.From == LoadGenID
 	for _, t := range m.Tasks {
@@ -536,11 +577,11 @@ func (n *Node) drainStep() {
 	if n.queue.Len() == 0 && len(n.inflight) == 0 {
 		if n.leaveAt == 0 {
 			n.leaveAt = n.now + 2*n.cfg.RetryAfter
-			for p := range n.active {
+			for _, p := range n.peers {
 				n.send(transport.Message{From: n.cfg.ID, To: p, Kind: transport.KindDrain})
 			}
 		} else if n.now >= n.leaveAt {
-			for p := range n.active {
+			for _, p := range n.peers {
 				n.send(transport.Message{From: n.cfg.ID, To: p, Kind: transport.KindLeave})
 			}
 			n.left = true
@@ -564,7 +605,7 @@ func (n *Node) retryPump() {
 		if n.now-x.sentAt < n.cfg.RetryAfter {
 			continue
 		}
-		dead := !n.active[x.to] || n.det.State(x.to) == detect.Down
+		dead := !n.active(x.to) || n.det.State(x.to) == detect.Down
 		if x.attempts >= n.cfg.Attempts || dead {
 			// Requeue locally. If the original delivery landed and only
 			// the ack was lost this double-counts — at-least-once, which
@@ -587,27 +628,64 @@ func (n *Node) retryPump() {
 	}
 }
 
-// pickPartner draws a uniform random active, unsuspected peer.
+// pickPartner draws a uniform random active, unsuspected peer. The
+// draw is seeded and allocation-free: count the k candidates, draw r
+// from the node's own stream, and walk the id-ordered active set to
+// the r-th candidate.
 func (n *Node) pickPartner() (int32, bool) {
-	cands := make([]int32, 0, len(n.active))
-	for p := range n.active {
-		if p != n.cfg.ID && !n.det.Suspected(p) {
-			cands = append(cands, p)
+	k := 0
+	for _, p := range n.peers {
+		if !n.det.Suspected(p) {
+			k++
 		}
 	}
-	if len(cands) == 0 {
+	if k == 0 {
 		return 0, false
 	}
-	// Map iteration order is random but not seeded; sort for a
-	// reproducible draw from the node's own stream.
-	sortInt32(cands)
-	return cands[n.rng.Intn(len(cands))], true
+	r := n.rng.Intn(k)
+	for _, p := range n.peers {
+		if !n.det.Suspected(p) {
+			if r == 0 {
+				return p, true
+			}
+			r--
+		}
+	}
+	panic("node: partner walk ran past its count")
 }
 
-func sortInt32(s []int32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+// inFleet reports whether p is a processor id in [0, N).
+func (n *Node) inFleet(p int32) bool { return p >= 0 && int(p) < n.cfg.N }
+
+// active reports whether p is in the active set.
+func (n *Node) active(p int32) bool { return n.inFleet(p) && n.isPeer[p] }
+
+// admit adds p to the active set, keeping it in id order. The node
+// itself and ids outside the fleet are never admitted.
+func (n *Node) admit(p int32) {
+	if !n.inFleet(p) || p == n.cfg.ID || n.isPeer[p] {
+		return
+	}
+	n.isPeer[p] = true
+	i := len(n.peers)
+	for i > 0 && n.peers[i-1] > p {
+		i--
+	}
+	n.peers = append(n.peers, 0)
+	copy(n.peers[i+1:], n.peers[i:])
+	n.peers[i] = p
+}
+
+// evict removes p from the active set.
+func (n *Node) evict(p int32) {
+	if !n.active(p) {
+		return
+	}
+	n.isPeer[p] = false
+	for i, q := range n.peers {
+		if q == p {
+			n.peers = append(n.peers[:i], n.peers[i+1:]...)
+			return
 		}
 	}
 }

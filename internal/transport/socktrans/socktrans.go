@@ -7,11 +7,16 @@
 // remote address gets one outbound connection, created the first time
 // a frame is queued for it and re-dialed with exponential backoff when
 // it breaks; frames queued while a peer is down flow when it returns
-// (bounded by the per-peer write queue — overflow is counted as
+// (bounded by the per-connection queue — overflow is counted as
 // dropped, exactly the loss semantics the protocol's retry machinery
-// is built for). Read and write deadlines derive from the failure
-// detector's suspect timeout: a connection silent for longer than the
-// detector would tolerate is torn down and re-dialed.
+// is built for). Writes go through per-connection batched writers:
+// Send encodes each frame straight onto its connection's pending
+// batch, and one writer goroutine per connection hands the whole batch
+// to the kernel in a single write — the dialed connection of a peer
+// address and the learned reply route of a client alike, so a slow
+// reader never blocks the caller. Read and write deadlines derive from
+// the failure detector's suspect timeout: a connection silent for
+// longer than the detector would tolerate is torn down and re-dialed.
 //
 // Peer discovery starts from a static bootstrap file mapping processor
 // ids to addresses (several ids may share an address — a daemon
@@ -35,6 +40,8 @@ package socktrans
 
 import (
 	"bufio"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -68,8 +75,9 @@ type Config struct {
 	// for 4x it is torn down (heartbeats keep live ones warm). 0
 	// derives 5s.
 	SuspectAfter time.Duration
-	// QueueLen bounds each peer's write queue; overflow while a peer
-	// is down is dropped (and counted). 0 derives 256.
+	// QueueLen bounds the frames queued on each connection behind the
+	// batch its writer holds; overflow (a peer down, a client not
+	// reading) is dropped and counted. 0 derives 256.
 	QueueLen int
 	// MaxFrame bounds accepted frame bodies; 0 derives
 	// wire.DefaultMaxFrame.
@@ -89,12 +97,95 @@ type sconn struct {
 	br     *bufio.Reader
 	wmu    sync.Mutex
 	hsSent bool
+	// out queues the frames sent over this connection as a reply route;
+	// its writer (routeLoop) starts on first use, and gone closes when
+	// the connection is dropped.
+	out     *outbox
+	writing bool // guarded by Trans.mu
+	gone    chan struct{}
 }
 
 // peer is the outbound side for one remote address.
 type peer struct {
 	addr string
-	out  chan []byte // encoded frames
+	out  *outbox
+}
+
+// outbox is one connection's pending batch: frames encoded back to
+// back by Send, taken whole by the connection's writer goroutine.
+type outbox struct {
+	mu     sync.Mutex
+	buf    []byte
+	frames int  // frames in buf, bounded by Config.QueueLen
+	shut   bool // the writer is gone: puts drop
+	wake   chan struct{}
+}
+
+var (
+	errFull = errors.New("queue full")
+	errShut = errors.New("connection gone")
+)
+
+func newOutbox() *outbox { return &outbox{wake: make(chan struct{}, 1)} }
+
+// put encodes m onto the batch, waking the writer when the batch was
+// empty. A frame past limit, or for a writer that is gone, is refused.
+func (o *outbox) put(m transport.Message, limit int) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.shut {
+		return errShut
+	}
+	if o.frames >= limit {
+		return errFull
+	}
+	buf, err := appendFrame(o.buf, m)
+	if err != nil {
+		return err
+	}
+	if len(o.buf) == 0 {
+		select {
+		case o.wake <- struct{}{}:
+		default:
+		}
+	}
+	o.buf = buf
+	o.frames++
+	return nil
+}
+
+// take hands the pending batch and its frame count to the writer,
+// leaving spare (emptied) in its place.
+func (o *outbox) take(spare []byte) ([]byte, int) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	b, k := o.buf, o.frames
+	o.buf, o.frames = spare[:0], 0
+	return b, k
+}
+
+// close refuses further puts and returns how many queued frames it
+// discards.
+func (o *outbox) close() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	k := o.frames
+	o.shut, o.buf, o.frames = true, nil, 0
+	return k
+}
+
+// completeFrames counts the whole frames at the front of b and the
+// offset just past them: after a write that failed with n bytes out,
+// completeFrames(batch[:n]) is how much of the batch the kernel took.
+func completeFrames(b []byte) (k, off int) {
+	for len(b)-off >= 4 {
+		end := off + 4 + int(binary.BigEndian.Uint32(b[off:]))
+		if end > len(b) {
+			break
+		}
+		k, off = k+1, end
+	}
+	return k, off
 }
 
 // Trans is a socket transport endpoint.
@@ -103,6 +194,8 @@ type Trans struct {
 	ln           net.Listener
 	suspectAfter time.Duration
 	maxFrame     int
+	queueLen     int
+	dial         func(network, addr string, timeout time.Duration) (net.Conn, error)
 
 	mu      sync.Mutex
 	addrs   map[int32]string              // id -> dialable address
@@ -149,12 +242,16 @@ func New(cfg Config) (*Trans, error) {
 		current:      make(map[int32][]transport.Message),
 		local:        make(map[int32]bool),
 		closed:       make(chan struct{}),
+		dial:         net.DialTimeout,
 	}
 	if t.suspectAfter <= 0 {
 		t.suspectAfter = 5 * time.Second
 	}
 	if t.maxFrame <= 0 {
 		t.maxFrame = wire.DefaultMaxFrame
+	}
+	if t.queueLen = cfg.QueueLen; t.queueLen <= 0 {
+		t.queueLen = 256
 	}
 	for _, id := range cfg.Local {
 		t.local[id] = true
@@ -221,11 +318,12 @@ func (t *Trans) Step() int64 {
 	return t.step
 }
 
-// Send implements transport.Transport: frames m and queues it toward
-// its destination — loopback for local ids, the peer writer for
-// addressable ids, the learned reply route otherwise. With no route at
-// all the frame is dropped and counted; the protocol's retries carry
-// the recovery.
+// Send implements transport.Transport: frames m onto the pending batch
+// toward its destination — loopback for local ids, the peer writer for
+// addressable ids, the learned reply route otherwise. Send never waits
+// on a socket. With no route at all, a full queue or a dead route the
+// frame is dropped and counted; the protocol's retries carry the
+// recovery.
 func (t *Trans) Send(m transport.Message) {
 	t.sent.Add(1)
 	if m.Kind < transport.KindMax {
@@ -237,37 +335,55 @@ func (t *Trans) Send(m transport.Message) {
 		t.mu.Unlock()
 		return
 	}
-	addr, haveAddr := t.addrs[m.To]
-	route := t.routes[m.To]
+	out, closing := t.outboxFor(m.To)
 	t.mu.Unlock()
-
-	frame, err := appendFrame(nil, m)
-	if err != nil {
+	if out == nil {
 		t.dropped.Add(1)
-		t.logf("socktrans: encode %s to %d: %v", m.Kind, m.To, err)
-		return
-	}
-	if haveAddr {
-		p := t.peerFor(addr)
-		if p == nil {
-			t.dropped.Add(1) // transport closing
-			return
-		}
-		select {
-		case p.out <- frame:
-		default:
-			t.dropped.Add(1) // peer down long enough to fill its queue
+		if !closing {
+			t.logf("socktrans: no route to %d for %s", m.To, m.Kind)
 		}
 		return
 	}
-	if route != nil {
-		if err := t.writeConn(route, frame); err != nil {
-			t.dropped.Add(1)
+	if err := out.put(m, t.queueLen); err != nil {
+		t.dropped.Add(1)
+		if err != errFull && err != errShut {
+			t.logf("socktrans: encode %s to %d: %v", m.Kind, m.To, err)
 		}
-		return
 	}
-	t.dropped.Add(1)
-	t.logf("socktrans: no route to %d for %s", m.To, m.Kind)
+}
+
+// outboxFor returns the queue toward id — the peer writer for an
+// addressable id, the learned reply route otherwise — starting its
+// writer on first use. Nil means no route, or closing when the
+// transport is shutting down (a writer started then would race Close's
+// WaitGroup drain; a send concurrent with Close is legal and counts as
+// dropped). Called with t.mu held.
+func (t *Trans) outboxFor(id int32) (out *outbox, closing bool) {
+	select {
+	case <-t.closed:
+		return nil, true
+	default:
+	}
+	if addr, ok := t.addrs[id]; ok {
+		p, ok := t.peers[addr]
+		if !ok {
+			p = &peer{addr: addr, out: newOutbox()}
+			t.peers[addr] = p
+			t.wg.Add(1)
+			go t.peerLoop(p)
+		}
+		return p.out, false
+	}
+	sc := t.routes[id]
+	if sc == nil {
+		return nil, false
+	}
+	if !sc.writing {
+		sc.writing = true
+		t.wg.Add(1)
+		go t.routeLoop(sc)
+	}
+	return sc.out, false
 }
 
 // Deliver implements transport.Transport: opens the next delivery
@@ -295,7 +411,7 @@ func (t *Trans) Inbox(p int) []transport.Message {
 // Close implements transport.Transport: stops the listener, tears
 // down every connection, and waits for the loops to exit.
 func (t *Trans) Close() error {
-	// The closed channel is shut under mu so peerFor and adopt can
+	// The closed channel is shut under mu so outboxFor and adopt can
 	// check it and register with the WaitGroup atomically — otherwise a
 	// Send racing Close could spawn a writer after Wait started.
 	t.mu.Lock()
@@ -358,46 +474,16 @@ func (t *Trans) logf(format string, args ...any) {
 	}
 }
 
-// appendFrame length-prefixes one encoded message.
+// appendFrame appends one length-prefixed encoded message to dst; on
+// an encode error dst comes back unchanged.
 func appendFrame(dst []byte, m transport.Message) ([]byte, error) {
-	dst = append(dst, 0, 0, 0, 0)
 	start := len(dst)
-	dst, err := wire.AppendMessage(dst, m)
+	out, err := wire.AppendMessage(append(dst, 0, 0, 0, 0), m)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	n := len(dst) - start
-	dst[start-4] = byte(n >> 24)
-	dst[start-3] = byte(n >> 16)
-	dst[start-2] = byte(n >> 8)
-	dst[start-1] = byte(n)
-	return dst, nil
-}
-
-// peerFor returns (creating on first use) the outbound writer for
-// addr, or nil when the transport is closing — creating a writer then
-// would race Close's WaitGroup drain (a send concurrent with Close is
-// legal; the frame counts as dropped).
-func (t *Trans) peerFor(addr string) *peer {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	select {
-	case <-t.closed:
-		return nil
-	default:
-	}
-	if p, ok := t.peers[addr]; ok {
-		return p
-	}
-	qlen := t.cfg.QueueLen
-	if qlen <= 0 {
-		qlen = 256
-	}
-	p := &peer{addr: addr, out: make(chan []byte, qlen)}
-	t.peers[addr] = p
-	t.wg.Add(1)
-	go t.peerLoop(p)
-	return p
+	binary.BigEndian.PutUint32(out[start:], uint32(len(out)-start-4))
+	return out, nil
 }
 
 // backoffFor is the reconnect pause after the attempt-th consecutive
@@ -434,49 +520,94 @@ func backoffFor(seed uint64, addr string, attempt int) time.Duration {
 }
 
 // peerLoop is the per-address writer: dial on demand, reconnect with
-// jittered exponential backoff (backoffFor), write each queued frame
-// under the suspect deadline. A frame whose write fails is retried on
-// the next connection — frames queued across a peer restart flow when
+// jittered exponential backoff (backoffFor), and write each pending
+// batch whole under one suspect deadline. When a write fails, the
+// frames the kernel took are done and the batch resumes on the next
+// connection at the first frame not fully written — never re-sending
+// an accepted frame, since a duplicated KindJoin would reset the
+// receiver's dedup ring. Frames queued across a peer restart flow when
 // it returns, which is what lets a fleet survive a daemon bounce.
 func (t *Trans) peerLoop(p *peer) {
 	defer t.wg.Done()
-	var sc *sconn
-	attempt := 0
+	var (
+		sc      *sconn
+		batch   []byte // frames taken and not yet fully written
+		attempt int
+	)
 	for {
-		var frame []byte
+		if len(batch) == 0 {
+			select {
+			case <-t.closed:
+				return
+			case <-p.out.wake:
+			}
+			batch, _ = p.out.take(batch)
+			continue
+		}
+		if sc == nil {
+			select {
+			case <-t.closed:
+				return
+			default:
+			}
+			c, err := t.dial(t.cfg.Network, p.addr, 2*time.Second)
+			if err != nil {
+				backoff := backoffFor(t.cfg.Seed, p.addr, attempt)
+				attempt++
+				t.logf("socktrans: dial %s: %v (retry in %v)", p.addr, err, backoff)
+				select {
+				case <-t.closed:
+					return
+				case <-time.After(backoff):
+				}
+				continue
+			}
+			attempt = 0
+			if sc = t.adopt(c); sc == nil {
+				return // closing
+			}
+			t.sendHandshake(sc)
+		}
+		n, err := t.write(sc, batch)
+		if err == nil {
+			batch = batch[:0]
+			continue
+		}
+		t.logf("socktrans: write %s: %v", p.addr, err)
+		t.dropConn(sc)
+		sc = nil
+		_, off := completeFrames(batch[:n])
+		batch = batch[:copy(batch, batch[off:])]
+	}
+}
+
+// routeLoop is the writer of a learned reply route: it writes each
+// pending batch whole, and when the connection dies it counts every
+// frame not fully written as dropped — a client that left is not
+// re-dialed.
+func (t *Trans) routeLoop(sc *sconn) {
+	defer t.wg.Done()
+	var batch []byte
+	for {
 		select {
 		case <-t.closed:
 			return
-		case frame = <-p.out:
+		case <-sc.gone:
+			t.dropped.Add(int64(sc.out.close()))
+			return
+		case <-sc.out.wake:
 		}
-		for frame != nil {
-			if sc == nil {
-				c, err := net.DialTimeout(t.cfg.Network, p.addr, 2*time.Second)
-				if err != nil {
-					backoff := backoffFor(t.cfg.Seed, p.addr, attempt)
-					attempt++
-					t.logf("socktrans: dial %s: %v (retry in %v)", p.addr, err, backoff)
-					select {
-					case <-t.closed:
-						return
-					case <-time.After(backoff):
-					}
-					continue
-				}
-				attempt = 0
-				sc = t.adopt(c)
-				if sc == nil {
-					return // closing
-				}
-				t.sendHandshake(sc)
-			}
-			if err := t.writeConn(sc, frame); err != nil {
-				t.logf("socktrans: write %s: %v", p.addr, err)
-				t.dropConn(sc)
-				sc = nil
-				continue // re-dial, retry the same frame
-			}
-			frame = nil
+		var k int
+		batch, k = sc.out.take(batch)
+		if k == 0 {
+			continue
+		}
+		if n, err := t.write(sc, batch); err != nil {
+			t.logf("socktrans: write %s: %v", sc.c.RemoteAddr(), err)
+			t.dropConn(sc)
+			done, _ := completeFrames(batch[:n])
+			t.dropped.Add(int64(k - done + sc.out.close()))
+			return
 		}
 	}
 }
@@ -484,7 +615,8 @@ func (t *Trans) peerLoop(p *peer) {
 // adopt registers a fresh connection (either direction) and starts its
 // reader; returns nil if the transport is already closing.
 func (t *Trans) adopt(c net.Conn) *sconn {
-	sc := &sconn{c: c, br: bufio.NewReader(c)}
+	sc := &sconn{c: c, br: bufio.NewReader(deadlineReader{c, 4 * t.suspectAfter}),
+		out: newOutbox(), gone: make(chan struct{})}
 	t.mu.Lock()
 	select {
 	case <-t.closed:
@@ -500,26 +632,46 @@ func (t *Trans) adopt(c net.Conn) *sconn {
 	return sc
 }
 
-// writeConn writes one frame under the suspect deadline.
-func (t *Trans) writeConn(sc *sconn, frame []byte) error {
+// write writes b — one frame or a whole batch — under one suspect
+// deadline, returning the bytes the kernel took.
+func (t *Trans) write(sc *sconn, b []byte) (int, error) {
 	sc.wmu.Lock()
 	defer sc.wmu.Unlock()
 	sc.c.SetWriteDeadline(time.Now().Add(t.suspectAfter))
-	_, err := sc.c.Write(frame)
-	return err
+	return sc.c.Write(b)
 }
 
-// dropConn tears one connection down and forgets its reply routes.
+// deadlineReader arms a connection's idle deadline before each read(2)
+// it makes: the bufio.Reader above only reads when its buffer is
+// drained, so a batch of frames costs one deadline, not one per frame.
+type deadlineReader struct {
+	c    net.Conn
+	idle time.Duration
+}
+
+func (r deadlineReader) Read(p []byte) (int, error) {
+	r.c.SetReadDeadline(time.Now().Add(r.idle))
+	return r.c.Read(p)
+}
+
+// dropConn tears one connection down, forgets its reply routes, and
+// tells its route writer. Both a writer and the reader drop a broken
+// connection, so it is idempotent — but every call forgets the routes,
+// since the reader may have learned one from a buffered frame after
+// the writer's drop.
 func (t *Trans) dropConn(sc *sconn) {
 	sc.c.Close()
 	t.mu.Lock()
-	delete(t.conns, sc)
+	defer t.mu.Unlock()
 	for id, r := range t.routes {
 		if r == sc {
 			delete(t.routes, id)
 		}
 	}
-	t.mu.Unlock()
+	if _, ok := t.conns[sc]; ok {
+		delete(t.conns, sc)
+		close(sc.gone)
+	}
 }
 
 // sendHandshake sends the one-time address-table handshake on a
@@ -543,7 +695,7 @@ func (t *Trans) sendHandshake(sc *sconn) {
 		t.logf("socktrans: handshake encode: %v", err)
 		return
 	}
-	if err := t.writeConn(sc, frame); err != nil {
+	if _, err := t.write(sc, frame); err != nil {
 		t.logf("socktrans: handshake write: %v", err)
 	}
 }
@@ -628,7 +780,6 @@ func (t *Trans) readLoop(sc *sconn) {
 	defer t.wg.Done()
 	defer t.dropConn(sc)
 	for {
-		sc.c.SetReadDeadline(time.Now().Add(4 * t.suspectAfter))
 		m, err := wire.ReadFrame(sc.br, t.maxFrame)
 		if err != nil {
 			select {
@@ -638,15 +789,19 @@ func (t *Trans) readLoop(sc *sconn) {
 			}
 			return
 		}
-		t.mu.Lock()
-		t.routes[m.From] = sc
-		t.mu.Unlock()
 		if m.Kind == transport.KindJoin && m.To == -1 {
 			t.mergeTable(m.Blob)
-			t.sendHandshake(sc) // answer once; hsSent makes this idempotent
+			// Answer once (hsSent makes this idempotent) before the route
+			// exists, so our handshake leads every reply on this
+			// connection.
+			t.sendHandshake(sc)
+			t.mu.Lock()
+			t.routes[m.From] = sc
+			t.mu.Unlock()
 			continue
 		}
 		t.mu.Lock()
+		t.routes[m.From] = sc
 		if t.local[m.To] {
 			t.pending[m.To] = append(t.pending[m.To], m)
 		} else {
