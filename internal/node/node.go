@@ -12,8 +12,12 @@
 // block aboard, retried until KindTransferAck returns, deduplicated at
 // the receiver by (sender, sequence). Liveness is inferred from
 // traffic through the deadline detector (internal/detect): any inbound
-// frame is evidence, KindHeartbeat keeps quiet links warm, and
-// suspected peers are neither probed nor shipped to. Membership is the
+// frame is evidence, and suspected peers are neither probed nor shipped
+// to. KindHeartbeat keeps quiet links warm; its target is a uniform
+// active peer, suspected ones included, because the heartbeat is how a
+// falsely suspected peer hears from us again — a node that stopped
+// heartbeating the peers it suspects would soon be suspected by them
+// in turn, and neither would send to the other again. Membership is the
 // KindJoin / KindDrain / KindLeave volley vocabulary the simulated
 // protocol uses, re-pointed at real processes: a starting daemon
 // announces itself, a draining one ships its queue away, waits for the
@@ -122,28 +126,21 @@ type pendingXfer struct {
 // at-least-once degradation, not the common path).
 const dedupLen = 512
 
-// dedupRing is one sender's window of applied transfer sequence
-// numbers. maxSeq bounds every entry (-1, the empty-slot fill, before
-// the first), so a seq above it is new without a scan — the common
-// case, since a sender's seqs only grow within an incarnation and its
-// KindJoin deletes the ring. The window sits behind a pointer so it
-// stays an exact 2 KiB allocation: embedding it beside the counters
-// would round every ring up to the next size class (2304 B), and with
-// one ring per (receiver, sender) pair the rings are most of a
-// transfer-heavy fleet's live heap.
+// dedupRing is one sender's window of the last dedupLen transfer
+// sequence numbers applied. The window grows on demand and wraps at
+// pos once full: there is one ring per (receiver, sender) pair, and
+// most pairs see a handful of transfers, so a ring costs what its
+// sender used instead of a full window up front. maxSeq bounds every
+// entry (-1 before the first), so a seq above it is new without a scan
+// — the common case, since a sender's seqs only grow within an
+// incarnation and its KindJoin deletes the ring.
 type dedupRing struct {
-	seqs   *[dedupLen]int32
+	seqs   []int32
 	pos    int
 	maxSeq int32
 }
 
-func newDedupRing() *dedupRing {
-	r := &dedupRing{seqs: new([dedupLen]int32), maxSeq: -1}
-	for i := range r.seqs {
-		r.seqs[i] = -1
-	}
-	return r
-}
+func newDedupRing() *dedupRing { return &dedupRing{maxSeq: -1} }
 
 // has reports whether seq is in the window.
 func (r *dedupRing) has(seq int32) bool {
@@ -158,10 +155,14 @@ func (r *dedupRing) has(seq int32) bool {
 	return false
 }
 
-// add records seq, evicting the oldest entry.
+// add records seq, evicting the oldest entry once the window is full.
 func (r *dedupRing) add(seq int32) {
-	r.seqs[r.pos] = seq
-	r.pos = (r.pos + 1) % dedupLen
+	if len(r.seqs) < dedupLen {
+		r.seqs = append(r.seqs, seq)
+	} else {
+		r.seqs[r.pos] = seq
+		r.pos = (r.pos + 1) % dedupLen
+	}
 	if seq > r.maxSeq {
 		r.maxSeq = seq
 	}
@@ -589,14 +590,17 @@ func (n *Node) drainStep() {
 	}
 }
 
-// heartbeat keeps quiet links warm on the detector's stagger.
+// heartbeat keeps quiet links warm on the detector's stagger. The
+// target is a uniform draw over the whole active set, suspected peers
+// included, like the lockstep detector's Target: a heartbeat is what
+// lets a falsely suspected peer readmit us, so skipping the peers we
+// suspect would make every false suspicion mutual and permanent.
 func (n *Node) heartbeat() {
-	if n.left || !n.det.Due(n.cfg.ID, n.now) {
+	if n.left || !n.det.Due(n.cfg.ID, n.now) || len(n.peers) == 0 {
 		return
 	}
-	if p, ok := n.pickPartner(); ok {
-		n.send(transport.Message{From: n.cfg.ID, To: p, Kind: transport.KindHeartbeat})
-	}
+	p := n.peers[n.rng.Intn(len(n.peers))]
+	n.send(transport.Message{From: n.cfg.ID, To: p, Kind: transport.KindHeartbeat})
 }
 
 // retryPump resends stale transfers and requeues exhausted ones.
@@ -628,10 +632,12 @@ func (n *Node) retryPump() {
 	}
 }
 
-// pickPartner draws a uniform random active, unsuspected peer. The
-// draw is seeded and allocation-free: count the k candidates, draw r
-// from the node's own stream, and walk the id-ordered active set to
-// the r-th candidate.
+// pickPartner draws a uniform random active, unsuspected peer for a
+// probe or a drain shipment. The draw is seeded and allocation-free:
+// count the k candidates, draw r from the node's own stream, and walk
+// the id-ordered active set to the r-th candidate. It is O(n), but only
+// balance (on a heavy node, at most once per RetryAfter) and drainStep
+// call it.
 func (n *Node) pickPartner() (int32, bool) {
 	k := 0
 	for _, p := range n.peers {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"plb/internal/task"
 	"plb/internal/transport"
 	"plb/internal/wire"
 )
@@ -249,4 +250,60 @@ func BenchmarkSocktransSend(b *testing.B) {
 		b.Fatalf("dropped %d frames", d)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+}
+
+// BenchmarkSocktransReceive measures the receive side alone: a bare
+// client writes pre-encoded frames 256 to a write over UDS, and each op
+// is one frame through the endpoint's reader, Deliver and Inbox.
+// allocs/op is the receive path's allocations per frame.
+func BenchmarkSocktransReceive(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		m    transport.Message
+	}{
+		{"heartbeat", transport.Message{From: -1, To: 0, Kind: transport.KindHeartbeat}},
+		{"transfer", transport.Message{From: -1, To: 0, Kind: transport.KindTransfer, A: 1, B: 7,
+			Tasks: []task.Task{{Origin: 0, Birth: -1, Weight: 1, Remaining: 1}}, Blob: []byte{1}}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			srv, err := New(Config{Network: "unix", Listen: filepath.Join(b.TempDir(), "s.sock"), N: 1,
+				Local: []int32{0}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			c, err := net.Dial("unix", srv.advertiseAddr())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			const chunk = 256
+			var buf []byte
+			for i := 0; i < chunk; i++ {
+				if buf, err = appendFrame(buf, tc.m); err != nil {
+					b.Fatal(err)
+				}
+			}
+			size := len(buf) / chunk
+			b.ReportAllocs()
+			b.ResetTimer()
+			got := 0
+			for sent := 0; sent < b.N; sent += chunk {
+				if _, err := c.Write(buf[:min(chunk, b.N-sent)*size]); err != nil {
+					b.Fatal(err)
+				}
+				srv.Deliver()
+				got += len(srv.Inbox(0))
+			}
+			for deadline := time.Now().Add(30 * time.Second); got < b.N; {
+				if time.Now().After(deadline) {
+					b.Fatalf("received %d of %d frames", got, b.N)
+				}
+				srv.Deliver()
+				got += len(srv.Inbox(0))
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+		})
+	}
 }

@@ -157,7 +157,10 @@ type Transport interface {
 	// since the previous Deliver becomes readable through Inbox.
 	Deliver()
 	// Inbox returns processor p's messages for the current window. The
-	// slice is owned by the transport and valid until the next Deliver.
+	// slice is owned by the transport and valid until the next Deliver:
+	// a transport may reuse its storage for the window after, as the
+	// socket transport does when Deliver swaps each id's arrivals in.
+	// A caller that keeps a message past the next Deliver copies it.
 	Inbox(p int) []Message
 	// Step is the number of Deliver calls so far — the transport's
 	// clock, which timeouts and fault schedules are keyed on.
