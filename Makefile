@@ -66,7 +66,7 @@ experiments-quick:
 	$(GO) run ./cmd/experiments -quick
 
 # Fault-injection smoke: the protocol degradation curve (E21), the
-# live-backend sojourn degradation table (E23), the failure-detector
+# node-runtime sojourn degradation table (E23), the failure-detector
 # tuning sweep (E24) and the elastic-membership autoscaler (E25) at
 # quick scale — exercises the lossy/crash/straggler/flap paths, the
 # suspicion machinery, the acked-transfer retry pump, and the

@@ -19,10 +19,9 @@ import (
 	"plb/internal/engine"
 	"plb/internal/experiments"
 	"plb/internal/gen"
-	"plb/internal/live"
+	"plb/internal/node"
 	"plb/internal/policy"
 	"plb/internal/sim"
-	"plb/internal/stats"
 )
 
 // benchExperiment runs one registered experiment per iteration.
@@ -72,29 +71,33 @@ func BenchmarkE26PolicyShootout(b *testing.B)        { benchExperiment(b, "E26")
 func BenchmarkE27SparseFrontier(b *testing.B)        { benchExperiment(b, "E27") }
 func BenchmarkE28ChaosLedger(b *testing.B)           { benchExperiment(b, "E28") }
 
-// BenchmarkLiveTaskFlow measures end-to-end task flow through the live
-// goroutine-per-processor backend and surfaces the sojourn statistics
-// as custom metrics (mean_wait/op, p99_wait/op), so BENCH_plb.json
-// records the latency surface next to the timing via benchjson's
-// extra-unit capture.
-func BenchmarkLiveTaskFlow(b *testing.B) {
+// BenchmarkFleetTaskFlow measures end-to-end task flow through a fleet
+// of node runtimes on the in-memory network and surfaces the sojourn
+// statistics as custom metrics (mean_wait/op, p99_wait/op), so
+// BENCH_plb.json records the latency surface next to the timing via
+// benchjson's extra-unit capture.
+func BenchmarkFleetTaskFlow(b *testing.B) {
 	const n, steps = 256, 400
+	model, err := gen.NewSingle(0.4, 0.1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var meanWait, p99Wait float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys, err := live.NewSystem(live.DefaultConfig(n, stats.PaperT(n), uint64(i+1)))
+		f, err := node.NewFleet(node.FleetConfig{N: n, Network: "mem", Seed: uint64(i + 1), Model: model})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep, err := engine.Drive(sys, engine.DriveConfig{Steps: steps})
-		sys.Close()
+		rep, err := engine.Drive(f, engine.DriveConfig{Steps: steps})
+		f.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
 		ts := rep.Final.Tasks
 		if ts == nil || ts.Completed == 0 {
-			b.Fatal("live run completed no tasks")
+			b.Fatal("fleet run completed no tasks")
 		}
 		meanWait += ts.MeanWait
 		p99Wait += float64(ts.P99Wait)

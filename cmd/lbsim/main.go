@@ -4,15 +4,14 @@
 // Usage:
 //
 //	lbsim [-n 4096] [-steps 5000] [-policy bfm98] [-model single] [-seed 1]
-//	lbsim -backend live -n 1024 -steps 500
+//	lbsim -backend sockets -n 16 -steps 400
 //	lbsim -list-policies        # the policy registry with capabilities
 //	lbsim -json ...             # machine-readable summary (unified engine metrics)
 //
-// Backends: sim (default, lockstep), live (goroutine per processor),
-// shmem (PRAM shared-memory simulation), sockets (in-process fleet of
-// socket-connected nodes; see also cmd/lbsimd for real daemons).
-// Policies come from the internal/policy registry (-list-policies);
-// -algo is a deprecated alias for -policy.
+// Backends: sim (default, lockstep), shmem (PRAM shared-memory
+// simulation), sockets (in-process fleet of socket-connected nodes;
+// see also cmd/lbsimd for real daemons). Policies come from the
+// internal/policy registry (-list-policies).
 // Models (sim backend): single, geometric, multi, burst, tree,
 // hotspot, diurnal — or a declarative workload grammar spec such as
 // -model "workload:arrivals=diurnal,rate=0.45,service=pareto(1.5)".
@@ -25,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -59,9 +59,8 @@ func main() {
 	var (
 		n       = flag.Int("n", 4096, "number of processors")
 		steps   = flag.Int("steps", 5000, "simulation steps")
-		backend = flag.String("backend", "sim", "substrate: sim, live, shmem, sockets")
+		backend = flag.String("backend", "sim", "substrate: sim, shmem, sockets")
 		policyF = flag.String("policy", "", "balancing policy from the registry (default bfm98; see -list-policies)")
-		algo    = flag.String("algo", "", "deprecated alias for -policy")
 		model   = flag.String("model", "single", "workload: single, geometric, multi, burst, tree, hotspot, diurnal, or a workload: grammar spec (sim backend only)")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		scale   = flag.Int("scale", 1, "multiplier on T=(log log n)^2 for the bfm98 config")
@@ -70,7 +69,7 @@ func main() {
 		every   = flag.Int("trace-every", 50, "trace sampling cadence in steps")
 		hist    = flag.Bool("hist", false, "print an ASCII histogram of the final load distribution")
 		jsonOut = flag.Bool("json", false, "print a machine-readable JSON summary instead of the text table")
-		faultsF = flag.String("faults", "", "fault plan, e.g. lossy:0.05,crash:0.1@100-500,flap:k=4,period=200 (algo bfm98-dist or backend live; see docs/ALGORITHM.md)")
+		faultsF = flag.String("faults", "", "fault plan, e.g. lossy:0.05,crash:0.1@100-500,flap:k=4,period=200 (policy bfm98-dist or backend sockets; see docs/ALGORITHM.md)")
 		detectF = flag.String("detect", "", "failure-detector tuning for a faulted bfm98-dist run, e.g. suspect=20,hb=4 (see docs/ALGORITHM.md)")
 		churnF  = flag.String("churn", "", "membership schedule for bfm98-dist, e.g. churn:join=2,leave=2,period=400 or drain:0.25@1000 (see docs/ALGORITHM.md)")
 		sparse  = flag.Bool("sparse", false, "event-driven stepping: only heavy/active processors execute per step, idle ones advance analytically (sim backend, sparse-capable policies; bit-identical trajectories)")
@@ -86,19 +85,11 @@ func main() {
 		fmt.Print(cli.ListPolicies())
 		return
 	}
-	policyName, deprecated, err := cli.ResolvePolicy(*policyF, *algo)
+	r, err := cli.BuildRunner(*backend, cli.ResolvePolicy(*policyF), *model, *n, *scale, *seed, *wrk, *faultsF, *detectF, *churnF, *sparse, *listenF, *peersF)
 	if err != nil {
 		fail(err)
 	}
-	if deprecated {
-		fmt.Fprintf(os.Stderr, "lbsim: -algo is deprecated, use -policy %s\n", policyName)
-	}
-
-	r, err := cli.BuildRunner(*backend, policyName, *model, *n, *scale, *seed, *wrk, *faultsF, *detectF, *churnF, *sparse, *listenF, *peersF)
-	if err != nil {
-		fail(err)
-	}
-	if c, ok := r.(interface{ Close() }); ok {
+	if c, ok := r.(io.Closer); ok {
 		defer c.Close()
 	}
 

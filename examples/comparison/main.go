@@ -2,10 +2,9 @@
 //
 // Runs every algorithm shipped with the library on the same Single
 // workload and prints the positioning table of Section 1.1: max load
-// vs message rate vs locality. One harness, many backends: every row
-// — the lockstep simulator rows and the goroutine-per-processor live
-// row — is an engine Runner driven by the same plb.Drive call and
-// measured through the same unified plb.RunMetrics.
+// vs message rate vs locality. One harness: every row is an engine
+// Runner driven by the same plb.Drive call and measured through the
+// same unified plb.RunMetrics.
 //
 //	go run ./examples/comparison
 package main
@@ -21,10 +20,6 @@ const (
 	n     = 4096
 	steps = 4000
 	seed  = 3
-	// One real goroutine per processor: the live row runs at a
-	// smaller n (and fewer steps) than the simulated rows.
-	liveN     = 1024
-	liveSteps = 1200
 )
 
 func main() {
@@ -65,14 +60,10 @@ func main() {
 		{"lm93", bal(plb.NewLM(2, seed))},
 		{"lauer95", bal(plb.NewLauer(2, seed))},
 		{"throwair", bal(plb.NewThrowAir(4, seed))},
-		{"threshold (live backend)", func() (plb.Runner, error) {
-			return plb.NewLiveSystem(plb.DefaultLiveConfig(liveN, plb.PaperT(liveN), seed))
-		}},
 	}
 
 	t := plb.PaperT(n)
-	fmt.Printf("n=%d, Single(0.4, 0.1), %d steps, T=(log log n)^2=%d\n", n, steps, t)
-	fmt.Printf("(live row: n=%d, %d steps, T=%d)\n\n", liveN, liveSteps, plb.PaperT(liveN))
+	fmt.Printf("n=%d, Single(0.4, 0.1), %d steps, T=(log log n)^2=%d\n\n", n, steps, t)
 	fmt.Printf("%-26s %8s %9s %7s %11s %9s %10s\n",
 		"algorithm", "backend", "max load", "max/T", "msgs/step", "locality", "mean wait")
 	for _, s := range systems {
@@ -80,16 +71,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		runSteps, runT := steps, t
-		if sys, ok := r.(*plb.LiveSystem); ok {
-			defer sys.Close()
-			runSteps, runT = liveSteps, plb.PaperT(liveN)
-		}
-		warm := runSteps / 4
+		warm := steps / 4
 		rep, err := plb.Drive(r, plb.DriveConfig{
 			Warmup:      warm,
-			Steps:       runSteps - warm,
-			SampleEvery: (runSteps - warm) / 15,
+			Steps:       steps - warm,
+			SampleEvery: (steps - warm) / 15,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -103,7 +89,7 @@ func main() {
 		}
 		fmt.Printf("%-26s %8s %9d %7.2f %11.1f %9s %s\n",
 			s.name, rep.Meta.Backend, rep.PeakMaxLoad,
-			float64(rep.PeakMaxLoad)/float64(runT),
+			float64(rep.PeakMaxLoad)/float64(t),
 			float64(met.Messages)/float64(met.Steps),
 			locality, wait)
 	}

@@ -7,6 +7,7 @@ package cli
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -20,7 +21,6 @@ import (
 	"plb/internal/engine"
 	"plb/internal/faults"
 	"plb/internal/gen"
-	"plb/internal/live"
 	"plb/internal/node"
 	"plb/internal/policy"
 	"plb/internal/shmem"
@@ -39,34 +39,14 @@ func ModelNames() []string {
 // substrate (the registry entries with an Install hook).
 func PolicyNames() []string { return policy.InstallableNames() }
 
-// AlgoNames lists the algorithm names the deprecated -algo alias
-// accepts.
-//
-// Deprecated: use PolicyNames; -algo is an alias for -policy.
-func AlgoNames() []string { return PolicyNames() }
-
-// ResolvePolicy resolves the -policy / -algo flag pair: -policy wins,
-// a non-empty -algo is accepted as a deprecated alias (deprecated is
-// true so the caller can warn), and both set to different policies is
-// an error. Names are canonicalized through registry aliases; unknown
-// names pass through for the constructors to report.
-func ResolvePolicy(policyFlag, algoFlag string) (name string, deprecated bool, err error) {
-	canon := func(s string) string {
-		if c, ok := policy.Canonical(s); ok {
-			return c
-		}
-		return s
+// ResolvePolicy canonicalizes the -policy flag through the registry's
+// aliases; unknown names (and "", the backend default) pass through
+// for validation to report.
+func ResolvePolicy(name string) string {
+	if c, ok := policy.Canonical(name); ok {
+		return c
 	}
-	p, a := canon(policyFlag), canon(algoFlag)
-	switch {
-	case p != "" && a != "" && p != a:
-		return "", false, fmt.Errorf("cli: -policy %s conflicts with -algo %s (drop the deprecated -algo)", policyFlag, algoFlag)
-	case p != "":
-		return p, false, nil
-	case a != "":
-		return a, true, nil
-	}
-	return "", false, nil
+	return name
 }
 
 // ValidateFlags cross-checks the shared command-line flag surface up
@@ -75,8 +55,8 @@ func ResolvePolicy(policyFlag, algoFlag string) (name string, deprecated bool, e
 // construction error names internals, not the flags the user typed).
 // backend "" means "sim"; an empty spec means the flag was not given.
 // Every rule is derived from the policy registry's capability
-// declarations; unknown backend and model names are left to the
-// constructors, which list the valid names. sparse mirrors the -sparse
+// declarations; unknown model names are left to the constructors,
+// which list the valid names. sparse mirrors the -sparse
 // flag: event-driven stepping exists only on the sim backend and only
 // for policies that declare the Sparse capability. listen and peers
 // mirror the socket-backend flags: listen picks the in-process fleet's
@@ -111,53 +91,51 @@ func ValidateFlags(backend, policyName, model, faultSpec, detectSpec, churnSpec 
 	} else if listen != "" || peers != "" {
 		return fmt.Errorf("cli: -listen/-peers without -backend sockets: socket addressing has no meaning on the %s backend", backend)
 	}
-	known := backend == "sim" || backend == "live" || backend == "shmem" || backend == "sockets"
+	if !slices.Contains(BackendNames(), backend) {
+		return fmt.Errorf("cli: unknown -backend %q (have %v)", backend, BackendNames())
+	}
 	name := policyName
 	if name == "" {
 		name = policy.DefaultName(backend)
 	}
-	var spec policy.Spec
-	if known {
-		var ok bool
-		spec, ok = policy.Lookup(name)
-		if !ok {
-			return fmt.Errorf("cli: unknown policy %q (have %v)", name, policy.Names())
+	spec, ok := policy.Lookup(name)
+	if !ok {
+		return fmt.Errorf("cli: unknown -policy %q (have %v)", name, policy.Names())
+	}
+	if !spec.Caps.OnBackend(backend) {
+		return fmt.Errorf("cli: -backend %s with -policy %s: %s runs on backends %v (this backend has %v)",
+			backend, name, name, spec.Caps.Backends, policy.BackendNames(backend))
+	}
+	if model != "" && model != "single" && !spec.Caps.WorkloadOn(backend) {
+		return fmt.Errorf("cli: -backend %s with -model %s: policy %s generates its own built-in workload on this backend",
+			backend, model, name)
+	}
+	if faultSpec != "" && !spec.Caps.FaultsOn(backend) {
+		return fmt.Errorf("cli: -faults with -backend %s -policy %s: fault injection needs %s",
+			backend, name, orList(policy.CapableNames(policy.Caps.FaultsOn)))
+	}
+	if detectSpec != "" && !spec.Caps.DetectOn(backend) {
+		return fmt.Errorf("cli: -detect with -backend %s -policy %s: the failure detector needs %s",
+			backend, name, orList(policy.CapableNames(policy.Caps.DetectOn)))
+	}
+	if churnSpec != "" && !spec.Caps.ChurnOn(backend) {
+		return fmt.Errorf("cli: -churn with -backend %s -policy %s: elastic membership needs %s",
+			backend, name, orList(policy.CapableNames(policy.Caps.ChurnOn)))
+	}
+	if sparse {
+		if backend != "sim" {
+			return fmt.Errorf("cli: -sparse with -backend %s: event-driven stepping exists only on the sim backend", backend)
 		}
-		if !spec.Caps.OnBackend(backend) {
-			return fmt.Errorf("cli: -backend %s with -policy %s: %s runs on backends %v (this backend has %v)",
-				backend, name, name, spec.Caps.Backends, policy.BackendNames(backend))
-		}
-		if model != "" && model != "single" && !spec.Caps.WorkloadOn(backend) {
-			return fmt.Errorf("cli: -backend %s with -model %s: policy %s generates its own built-in workload on this backend",
-				backend, model, name)
-		}
-		if faultSpec != "" && !spec.Caps.FaultsOn(backend) {
-			return fmt.Errorf("cli: -faults with -backend %s -policy %s: fault injection needs %s",
-				backend, name, orList(policy.CapableNames(policy.Caps.FaultsOn)))
-		}
-		if detectSpec != "" && !spec.Caps.DetectOn(backend) {
-			return fmt.Errorf("cli: -detect with -backend %s -policy %s: the failure detector needs %s",
-				backend, name, orList(policy.CapableNames(policy.Caps.DetectOn)))
-		}
-		if churnSpec != "" && !spec.Caps.ChurnOn(backend) {
-			return fmt.Errorf("cli: -churn with -backend %s -policy %s: elastic membership needs %s",
-				backend, name, orList(policy.CapableNames(policy.Caps.ChurnOn)))
-		}
-		if sparse {
-			if backend != "sim" {
-				return fmt.Errorf("cli: -sparse with -backend %s: event-driven stepping exists only on the sim backend", backend)
-			}
-			if !spec.Caps.Sparse {
-				var capable []string
-				for _, s := range policy.All() {
-					if s.Caps.Sparse {
-						capable = append(capable, "-policy "+s.Name)
-					}
+		if !spec.Caps.Sparse {
+			var capable []string
+			for _, s := range policy.All() {
+				if s.Caps.Sparse {
+					capable = append(capable, "-policy "+s.Name)
 				}
-				sort.Strings(capable)
-				return fmt.Errorf("cli: -sparse with -policy %s: event-driven stepping needs %s",
-					name, strings.Join(capable, " or "))
 			}
+			sort.Strings(capable)
+			return fmt.Errorf("cli: -sparse with -policy %s: event-driven stepping needs %s",
+				name, strings.Join(capable, " or "))
 		}
 	}
 	if detectSpec != "" && faultSpec == "" && churnSpec == "" {
@@ -231,7 +209,7 @@ func InstallPolicy(cfg *sim.Config, name string, p policy.Params) error {
 	}
 	spec, ok := policy.Lookup(name)
 	if !ok {
-		return fmt.Errorf("cli: unknown policy %q (have %v)", name, policy.Names())
+		return fmt.Errorf("cli: unknown -policy %q (have %v)", name, policy.Names())
 	}
 	if spec.Install == nil {
 		return fmt.Errorf("cli: policy %s is a %s-backend built-in and cannot be installed on sim", spec.Name, spec.Caps.Backends[0])
@@ -239,37 +217,23 @@ func InstallPolicy(cfg *sim.Config, name string, p policy.Params) error {
 	return spec.Install(cfg, p)
 }
 
-// InstallAlgo wires a named algorithm into cfg.
-//
-// Deprecated: use InstallPolicy; this forwards to it.
-func InstallAlgo(cfg *sim.Config, name string, n, scale int, seed uint64, faultSpec, detectSpec, churnSpec string) error {
-	return InstallPolicy(cfg, name, policy.Params{
-		N: n, Scale: scale, Seed: seed,
-		Faults: faultSpec, Detect: detectSpec, Churn: churnSpec,
-	})
-}
-
 // BackendNames lists the backends BuildRunner accepts.
-func BackendNames() []string { return []string{"sim", "live", "shmem", "sockets"} }
+func BackendNames() []string { return []string{"sim", "shmem", "sockets"} }
 
 // BuildRunner constructs an engine.Runner for a named backend.
 //
 //   - "sim" (default) wires a workload + policy into the lockstep
 //     machine; policy bfm98-dist rides it as the message-passing proto
 //     backend. model may be a name or a "workload:..." grammar spec.
-//   - "live" builds the goroutine-per-processor system. It runs its
-//     own threshold algorithm over its own Single(0.4, 0.1) generator,
-//     so policy/model must be left at their defaults (or named
-//     "threshold"/"single"); scale multiplies its T.
 //   - "shmem" builds the PRAM shared-memory simulation driven by a
 //     synthetic access stream; it runs the collision protocol at the
 //     Lemma 1 operating point (a=5, b=2, c=1) and accepts policy
 //     "collision" or the default.
 //   - "sockets" boots an in-process fleet of node runtimes whose every
 //     message crosses a real socket (internal/node over socktrans);
-//     listen picks the flavor ("unix", the default, or "tcp"). Like
-//     live it is only statistically reproducible. model may be a name
-//     or a workload grammar spec, exactly as on sim.
+//     listen picks the flavor ("unix", the default, or "tcp"). It is
+//     only statistically reproducible. model may be a name or a
+//     workload grammar spec, exactly as on sim.
 //
 // Callers that need backend-specific knobs beyond these should build
 // the runner directly; this covers the common command-line surface.
@@ -289,20 +253,6 @@ func BuildRunner(backend, policyName, model string, n, scale int, seed uint64, w
 			return nil, err
 		}
 		return sim.New(cfg)
-	case "live":
-		t := stats.PaperT(n)
-		if scale > 1 {
-			t *= scale
-		}
-		c := live.DefaultConfig(n, t, seed)
-		if faultSpec != "" {
-			plan, err := faults.ParsePlan(faultSpec)
-			if err != nil {
-				return nil, err
-			}
-			c.Faults = &plan
-		}
-		return live.NewSystem(c)
 	case "shmem":
 		return shmem.NewRunner(shmem.RunnerConfig{
 			Mem: shmem.Config{Procs: n, Modules: n, Copies: 5, Quorum: 3, ModuleCap: 1, Seed: seed},

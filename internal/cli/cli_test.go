@@ -1,9 +1,11 @@
 package cli
 
 import (
+	"io"
 	"strings"
 	"testing"
 
+	"plb/internal/policy"
 	"plb/internal/sim"
 )
 
@@ -25,12 +27,11 @@ func TestValidateFlagCombos(t *testing.T) {
 		{"churn off-protocol", "sim", "bfm98", "single", "", "", churn, false, []string{"-churn", "-policy bfm98"}},
 		{"detect alone", "sim", "bfm98-dist", "single", "", "suspect=20", "", false, []string{"-detect", "-faults"}},
 		{"detect rides churn", "sim", "bfm98-dist", "single", "", "suspect=20", churn, false, nil},
-		{"live ok", "live", "threshold", "single", "lossy:0.5", "", "", false, nil},
-		{"live algo", "live", "rsu", "single", "", "", "", false, []string{"-backend live", "-policy rsu"}},
-		{"live model", "live", "", "burst", "", "", "", false, []string{"-backend live", "-model burst"}},
-		{"live detect", "live", "", "single", "lossy:0.1", "suspect=20", "", false, []string{"-backend live", "-detect"}},
-		{"live churn", "live", "", "single", "", "", churn, false, []string{"-backend live", "-churn"}},
+		{"unknown backend", "live", "", "single", "", "", "", false, []string{"-backend", "live"}},
+		{"sockets policy", "sockets", "rsu", "single", "", "", "", false, []string{"-backend sockets", "-policy rsu"}},
+		{"sockets detect", "sockets", "", "single", "lossy:0.1", "suspect=20", "", false, []string{"-backend sockets", "-detect"}},
 		{"shmem ok", "shmem", "collision", "single", "", "", "", false, nil},
+		{"shmem model", "shmem", "", "burst", "", "", "", false, []string{"-backend shmem", "-model burst"}},
 		{"shmem faults", "shmem", "", "single", "lossy:0.1", "", "", false, []string{"-backend shmem", "-faults"}},
 		{"shmem detect", "shmem", "", "single", "", "suspect=20", "", false, []string{"-backend shmem", "-detect"}},
 		{"shmem churn", "shmem", "", "single", "", "", churn, false, []string{"-backend shmem", "-churn"}},
@@ -39,7 +40,7 @@ func TestValidateFlagCombos(t *testing.T) {
 		{"sparse pre-round", "sim", "bfm98-pre", "single", "", "", "", true, nil},
 		{"sparse off-policy", "sim", "bfm98-dist", "single", "", "", "", true, []string{"-sparse", "-policy bfm98-dist"}},
 		{"sparse router", "sim", "rsu", "single", "", "", "", true, []string{"-sparse", "-policy rsu"}},
-		{"sparse live", "live", "threshold", "single", "", "", "", true, []string{"-sparse", "-backend live"}},
+		{"sparse sockets", "sockets", "", "single", "", "", "", true, []string{"-sparse", "-backend sockets"}},
 		{"sparse shmem", "shmem", "collision", "single", "", "", "", true, []string{"-sparse", "-backend shmem"}},
 		// Socket fleets honor the emulable part of the fault grammar:
 		// link faults run in the chaostrans middleware, crash/flap drive
@@ -91,38 +92,43 @@ func TestBuildModelAllNames(t *testing.T) {
 	}
 }
 
-func TestInstallAlgoAllNames(t *testing.T) {
-	for _, name := range AlgoNames() {
+// params builds the InstallPolicy knobs at scale 1 and seed 1.
+func params(n int, faults, detect, churn string) policy.Params {
+	return policy.Params{N: n, Scale: 1, Seed: 1, Faults: faults, Detect: detect, Churn: churn}
+}
+
+func TestInstallPolicyAllNames(t *testing.T) {
+	for _, name := range PolicyNames() {
 		model, err := BuildModel("single", 256, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := sim.Config{N: 256, Model: model, Seed: 1}
-		if err := InstallAlgo(&cfg, name, 256, 1, 1, "", "", ""); err != nil {
-			t.Fatalf("InstallAlgo(%q) failed: %v", name, err)
+		if err := InstallPolicy(&cfg, name, params(256, "", "", "")); err != nil {
+			t.Fatalf("InstallPolicy(%q) failed: %v", name, err)
 		}
 		if cfg.Balancer == nil && cfg.Placer == nil {
-			t.Fatalf("algo %q installed nothing", name)
+			t.Fatalf("policy %q installed nothing", name)
 		}
 		m, err := sim.New(cfg)
 		if err != nil {
 			t.Fatalf("machine for %q: %v", name, err)
 		}
-		m.Run(20) // smoke: every algo survives a short run
+		m.Run(20) // smoke: every policy survives a short run
 	}
 	cfg := sim.Config{}
-	if err := InstallAlgo(&cfg, "nope", 256, 1, 1, "", "", ""); err == nil {
-		t.Fatal("unknown algorithm accepted")
+	if err := InstallPolicy(&cfg, "nope", params(256, "", "", "")); err == nil {
+		t.Fatal("unknown policy accepted")
 	}
 }
 
-func TestInstallAlgoScale(t *testing.T) {
+func TestInstallPolicyScale(t *testing.T) {
 	model, err := BuildModel("single", 1024, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := sim.Config{N: 1024, Model: model, Seed: 1}
-	if err := InstallAlgo(&cfg, "bfm98", 1024, 4, 1, "", "", ""); err != nil {
+	if err := InstallPolicy(&cfg, "bfm98", policy.Params{N: 1024, Scale: 4, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	m, err := sim.New(cfg)
@@ -154,13 +160,13 @@ func TestBurstModelSmallN(t *testing.T) {
 	}
 }
 
-func TestInstallAlgoFaults(t *testing.T) {
+func TestInstallPolicyFaults(t *testing.T) {
 	model, err := BuildModel("single", 256, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := sim.Config{N: 256, Model: model, Seed: 1}
-	if err := InstallAlgo(&cfg, "bfm98-dist", 256, 1, 1, "lossy:0.1,crash:0.05@100-500", "", ""); err != nil {
+	if err := InstallPolicy(&cfg, "bfm98-dist", params(256, "lossy:0.1,crash:0.05@100-500", "", "")); err != nil {
 		t.Fatalf("fault spec rejected: %v", err)
 	}
 	m, err := sim.New(cfg)
@@ -168,21 +174,21 @@ func TestInstallAlgoFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Run(50) // smoke: faulted protocol survives
-	if err := InstallAlgo(&sim.Config{}, "bfm98", 256, 1, 1, "lossy:0.1", "", ""); err == nil {
-		t.Fatal("faults accepted for a non-distributed algorithm")
+	if err := InstallPolicy(&sim.Config{}, "bfm98", params(256, "lossy:0.1", "", "")); err == nil {
+		t.Fatal("faults accepted for a non-distributed policy")
 	}
-	if err := InstallAlgo(&sim.Config{}, "bfm98-dist", 256, 1, 1, "lossy:nope", "", ""); err == nil {
+	if err := InstallPolicy(&sim.Config{}, "bfm98-dist", params(256, "lossy:nope", "", "")); err == nil {
 		t.Fatal("malformed fault spec accepted")
 	}
 }
 
-func TestInstallAlgoChurn(t *testing.T) {
+func TestInstallPolicyChurn(t *testing.T) {
 	model, err := BuildModel("single", 128, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := sim.Config{N: 128, Model: model, Seed: 1}
-	if err := InstallAlgo(&cfg, "bfm98-dist", 128, 1, 1, "", "", "churn:join=2,leave=2,period=60"); err != nil {
+	if err := InstallPolicy(&cfg, "bfm98-dist", params(128, "", "", "churn:join=2,leave=2,period=60")); err != nil {
 		t.Fatalf("churn spec rejected: %v", err)
 	}
 	m, err := sim.New(cfg)
@@ -196,21 +202,21 @@ func TestInstallAlgoChurn(t *testing.T) {
 
 	// -churn and -faults merge into one plan.
 	cfg2 := sim.Config{N: 128, Model: model, Seed: 1}
-	if err := InstallAlgo(&cfg2, "bfm98-dist", 128, 1, 1, "lossy:0.05", "suspect=20", "drain:4@50"); err != nil {
+	if err := InstallPolicy(&cfg2, "bfm98-dist", params(128, "lossy:0.05", "suspect=20", "drain:4@50")); err != nil {
 		t.Fatalf("churn + faults + detect rejected: %v", err)
 	}
 
 	// A churn spec smuggling non-membership faults is rejected; those
 	// belong in -faults.
-	if err := InstallAlgo(&sim.Config{}, "bfm98-dist", 128, 1, 1, "", "", "churn:join=1,period=60,lossy:0.1"); err == nil {
+	if err := InstallPolicy(&sim.Config{}, "bfm98-dist", params(128, "", "", "churn:join=1,period=60,lossy:0.1")); err == nil {
 		t.Fatal("churn spec with a lossy directive accepted")
 	}
 	// ... as is one that schedules no membership change at all.
-	if err := InstallAlgo(&sim.Config{}, "bfm98-dist", 128, 1, 1, "", "", "seed:7"); err == nil {
+	if err := InstallPolicy(&sim.Config{}, "bfm98-dist", params(128, "", "", "seed:7")); err == nil {
 		t.Fatal("membership-free churn spec accepted")
 	}
 	// -churn implies an active plan, so -detect may ride on it alone.
-	if err := InstallAlgo(&sim.Config{N: 128, Model: model, Seed: 1}, "bfm98-dist", 128, 1, 1, "", "suspect=20", "churn:join=1,period=60"); err != nil {
+	if err := InstallPolicy(&sim.Config{N: 128, Model: model, Seed: 1}, "bfm98-dist", params(128, "", "suspect=20", "churn:join=1,period=60")); err != nil {
 		t.Fatalf("-detect with -churn alone rejected: %v", err)
 	}
 }
@@ -221,7 +227,7 @@ func TestBuildRunnerBackends(t *testing.T) {
 		if err != nil {
 			t.Fatalf("BuildRunner(%q) failed: %v", backend, err)
 		}
-		if c, ok := r.(interface{ Close() }); ok {
+		if c, ok := r.(io.Closer); ok {
 			defer c.Close()
 		}
 		if got := r.Meta().Backend; got != backend {
@@ -249,8 +255,9 @@ func TestBuildRunnerProtoBackend(t *testing.T) {
 
 func TestBuildRunnerRejectsMismatches(t *testing.T) {
 	cases := []struct{ backend, algo, model, faults string }{
-		{"live", "rsu", "single", ""},
-		{"live", "bfm98", "burst", ""},
+		{"live", "", "single", ""},
+		{"sockets", "rsu", "single", ""},
+		{"sockets", "", "single", "crash:1@50-200,redistribute"},
 		{"shmem", "greedy2", "single", ""},
 		{"shmem", "bfm98", "tree", ""},
 		{"shmem", "bfm98", "single", "lossy:0.1"},
@@ -262,33 +269,33 @@ func TestBuildRunnerRejectsMismatches(t *testing.T) {
 	}
 }
 
-func TestBuildRunnerLiveFaults(t *testing.T) {
-	r, err := BuildRunner("live", "threshold", "single", 32, 1, 1, 0, "lossy:0.5", "", "", false, "", "")
+func TestBuildRunnerSocketsFaults(t *testing.T) {
+	r, err := BuildRunner("sockets", "", "single", 8, 1, 1, 0, "lossy:0.5", "", "", false, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.(interface{ Close() }).Close()
+	defer r.(interface{ Close() error }).Close()
 	r.Steps(50)
 	if m := r.Collect(); m.Drops == 0 {
-		t.Fatalf("lossy live run recorded no drops: %+v", m)
+		t.Fatalf("lossy sockets run recorded no drops: %+v", m)
 	}
 }
 
-func TestInstallAlgoDetect(t *testing.T) {
+func TestInstallPolicyDetect(t *testing.T) {
 	mod, _ := BuildModel("single", 256, 1)
 	cfg := sim.Config{N: 256, Model: mod, Seed: 1}
-	if err := InstallAlgo(&cfg, "bfm98-dist", 256, 1, 1, "lossy:0.1", "suspect=20,hb=4", ""); err != nil {
+	if err := InstallPolicy(&cfg, "bfm98-dist", params(256, "lossy:0.1", "suspect=20,hb=4", "")); err != nil {
 		t.Fatalf("detect spec rejected: %v", err)
 	}
 	// -detect without -faults is meaningless (no detector runs).
-	if err := InstallAlgo(&sim.Config{}, "bfm98-dist", 256, 1, 1, "", "suspect=20", ""); err == nil {
+	if err := InstallPolicy(&sim.Config{}, "bfm98-dist", params(256, "", "suspect=20", "")); err == nil {
 		t.Fatal("-detect without -faults accepted")
 	}
-	if err := InstallAlgo(&sim.Config{}, "bfm98-dist", 256, 1, 1, "lossy:0.1", "suspect=nope", ""); err == nil {
+	if err := InstallPolicy(&sim.Config{}, "bfm98-dist", params(256, "lossy:0.1", "suspect=nope", "")); err == nil {
 		t.Fatal("bad detect spec accepted")
 	}
-	if _, err := BuildRunner("live", "threshold", "single", 32, 1, 1, 0, "lossy:0.5", "suspect=20", "", false, "", ""); err == nil {
-		t.Fatal("live backend accepted -detect")
+	if _, err := BuildRunner("sockets", "", "single", 8, 1, 1, 0, "lossy:0.5", "suspect=20", "", false, "", ""); err == nil {
+		t.Fatal("sockets backend accepted -detect")
 	}
 	if _, err := BuildRunner("shmem", "collision", "single", 32, 1, 1, 0, "", "suspect=20", "", false, "", ""); err == nil {
 		t.Fatal("shmem backend accepted -detect")

@@ -9,65 +9,35 @@ import (
 	"plb/internal/policy"
 )
 
-// TestResolvePolicyTable pins the -policy / -algo flag pair semantics:
-// -policy wins, -algo is a deprecated alias that still resolves every
-// historical name, conflicts are errors, unknown names pass through.
+// TestResolvePolicyTable pins -policy resolution: every registry alias
+// canonicalizes, every name the retired -algo switch accepted still
+// resolves to a registered policy, and unknown names (and the empty
+// default) pass through for validation to report.
 func TestResolvePolicyTable(t *testing.T) {
-	cases := []struct {
-		policyFlag, algoFlag string
-		want                 string
-		deprecated           bool
-		wantErr              bool
-	}{
-		{"", "", "", false, false},
-		{"bfm98", "", "bfm98", false, false},
-		{"", "bfm98", "bfm98", true, false},
-		{"", "greedy-d", "greedy2", true, false},
-		{"", "single-choice", "greedy1", true, false},
-		{"", "round-robin", "rr", true, false},
-		{"", "power-of-d", "supermarket", true, false},
-		{"", "phaseless", "bfm98-phaseless", true, false},
-		{"", "proto", "bfm98-dist", true, false},
-		{"supermarket", "power-of-d", "supermarket", false, false}, // same policy via alias: no conflict
-		{"bfm98", "rsu", "", false, true},                          // conflicting pair
-		{"no-such-policy", "", "no-such-policy", false, false},     // unknown passes through
+	cases := []struct{ flag, want string }{
+		{"", ""},
+		{"bfm98", "bfm98"},
+		{"greedy-d", "greedy2"},
+		{"single-choice", "greedy1"},
+		{"round-robin", "rr"},
+		{"power-of-d", "supermarket"},
+		{"phaseless", "bfm98-phaseless"},
+		{"proto", "bfm98-dist"},
+		{"no-such-policy", "no-such-policy"},
 	}
 	for _, c := range cases {
-		got, deprecated, err := cli.ResolvePolicy(c.policyFlag, c.algoFlag)
-		if (err != nil) != c.wantErr {
-			t.Errorf("ResolvePolicy(%q, %q) err = %v, wantErr %v", c.policyFlag, c.algoFlag, err, c.wantErr)
-			continue
-		}
-		if err != nil {
-			continue
-		}
-		if got != c.want || deprecated != c.deprecated {
-			t.Errorf("ResolvePolicy(%q, %q) = (%q, %v), want (%q, %v)",
-				c.policyFlag, c.algoFlag, got, deprecated, c.want, c.deprecated)
+		if got := cli.ResolvePolicy(c.flag); got != c.want {
+			t.Errorf("ResolvePolicy(%q) = %q, want %q", c.flag, got, c.want)
 		}
 	}
-}
-
-// TestLegacyAlgoNamesStillResolve checks every name the old -algo
-// switch accepted maps to a registered policy the deprecated alias can
-// still install.
-func TestLegacyAlgoNamesStillResolve(t *testing.T) {
 	legacy := []string{
 		"bfm98", "bfm98-pre", "bfm98-dist", "bfm98-phaseless",
 		"unbalanced", "greedy1", "greedy2", "rsu", "lm",
 		"lauer", "lauer-est", "throwair",
 	}
 	for _, name := range legacy {
-		got, deprecated, err := cli.ResolvePolicy("", name)
-		if err != nil {
-			t.Errorf("legacy -algo %s: %v", name, err)
-			continue
-		}
-		if !deprecated {
-			t.Errorf("legacy -algo %s not flagged deprecated", name)
-		}
-		if _, ok := policy.Lookup(got); !ok {
-			t.Errorf("legacy -algo %s resolved to unregistered %q", name, got)
+		if _, ok := policy.Lookup(cli.ResolvePolicy(name)); !ok {
+			t.Errorf("legacy name %s no longer resolves to a registered policy", name)
 		}
 	}
 }
@@ -92,17 +62,21 @@ func TestEveryPolicyBackendFlagCombo(t *testing.T) {
 		{"churn", "", "", "churn:join=2,leave=2,period=40"},
 		{"detect-alone", "", "suspect=8,down=16,hb=4", ""}, // illegal everywhere
 	}
+	// The live backend and the threshold policy were removed: a command
+	// line still naming either must be rejected up front, naming the
+	// flag that carries the retired name.
 	backends := []string{"sim", "live", "shmem", "sockets"}
-	for _, spec := range policy.All() {
+	policies := append(policy.Names(), "threshold")
+	const n = 64
+	for _, pol := range policies {
 		for _, backend := range backends {
-			n := 64
-			if backend == "live" {
-				n = 32
-			}
 			for _, c := range combos {
-				name := spec.Name + "/" + backend + "/" + c.label
+				name := pol + "/" + backend + "/" + c.label
 				t.Run(name, func(t *testing.T) {
-					err := cli.ValidateFlags(backend, spec.Name, "", c.faults, c.detect, c.churn, false, "", "")
+					err := cli.ValidateFlags(backend, pol, "", c.faults, c.detect, c.churn, false, "", "")
+					if retired := retiredFlag(backend, pol); retired != "" && (err == nil || !strings.Contains(err.Error(), retired)) {
+						t.Fatalf("retired name: got %v, want a rejection naming %s", err, retired)
+					}
 					if err != nil {
 						if !strings.Contains(err.Error(), "-") {
 							t.Fatalf("rejection does not name a flag: %v", err)
@@ -112,7 +86,7 @@ func TestEveryPolicyBackendFlagCombo(t *testing.T) {
 					if c.label == "detect-alone" {
 						t.Fatal("detect without faults/churn validated")
 					}
-					r, err := cli.BuildRunner(backend, spec.Name, "", n, 1, 5, 0, c.faults, c.detect, c.churn, false, "", "")
+					r, err := cli.BuildRunner(backend, pol, "", n, 1, 5, 0, c.faults, c.detect, c.churn, false, "", "")
 					if err != nil {
 						t.Fatalf("validation passed but construction failed: %v", err)
 					}
@@ -127,6 +101,18 @@ func TestEveryPolicyBackendFlagCombo(t *testing.T) {
 			}
 		}
 	}
+}
+
+// retiredFlag names the flag carrying a removed backend or policy
+// name, or returns "" when neither name was removed.
+func retiredFlag(backend, pol string) string {
+	switch {
+	case backend == "live":
+		return "-backend"
+	case pol == "threshold":
+		return "-policy"
+	}
+	return ""
 }
 
 // TestListPoliciesOutput sanity-checks the -list-policies table: a

@@ -6,9 +6,8 @@ import (
 )
 
 // The paper's own configurations, registered as policies. bfm98 also
-// names the live backend's threshold realization and the shmem
-// collision protocol (historical flag compatibility), so its backend
-// list spans all three; faults are honored on live only — the sim
+// names the shmem collision protocol (historical flag compatibility),
+// so its backend list spans both; it honors no fault plan — the sim
 // realization is atomic and has no network to perturb (that is
 // bfm98-dist's job, registered by internal/proto).
 
@@ -17,8 +16,7 @@ func init() {
 		Name:    "bfm98",
 		Summary: "the paper's phase-based tree-growth balancer (atomic realization; T=(log log n)²)",
 		Caps: policy.Caps{
-			Backends: []string{"sim", "live", "shmem"},
-			Faults:   []string{"live"},
+			Backends: []string{"sim", "shmem"},
 			Workload: []string{"sim"},
 			Sparse:   true,
 		},

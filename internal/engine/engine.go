@@ -1,8 +1,8 @@
 // Package engine is the unified measurement layer over the repo's
-// four substrates: the lockstep simulator (internal/sim, with the
-// atomic and distributed balancers on top), the goroutine-per-processor
-// harness (internal/live), and the PRAM shared-memory simulation
-// (internal/shmem).
+// substrates: the lockstep simulator (internal/sim, with the atomic and
+// distributed balancers on top), the fleet of message-passing node
+// runtimes (internal/node, over sockets or the in-memory network), and
+// the PRAM shared-memory simulation (internal/shmem).
 //
 // Each substrate grew its own run loop, metrics struct, and ad-hoc
 // wiring; engine collapses them behind one Runner interface with one
@@ -13,8 +13,9 @@
 // The contract:
 //
 //   - Runner.Steps advances the backend by whole time steps. Lockstep
-//     backends (sim, proto-on-sim, shmem) are bit-reproducible for a
-//     fixed seed regardless of how the steps are batched; live is
+//     backends (sim, proto-on-sim, shmem) and the node fleet on the
+//     in-memory network are bit-reproducible for a fixed seed
+//     regardless of how the steps are batched; a fleet over sockets is
 //     genuinely concurrent and only statistically reproducible.
 //   - Runner.Loads returns a point-in-time per-processor (or
 //     per-module) load snapshot owned by the runner, valid until the
@@ -32,14 +33,14 @@ package engine
 import (
 	"fmt"
 
-	"plb/internal/faults"
 	"plb/internal/task"
 )
 
 // Meta identifies a run: which backend, which algorithm, which
 // workload, at what size and seed.
 type Meta struct {
-	// Backend names the substrate: "sim", "proto", "live", "shmem".
+	// Backend names the substrate: "sim", "proto", "shmem", "sockets",
+	// "mem".
 	Backend string `json:"backend"`
 	// Algorithm names the balancing algorithm (or access protocol).
 	Algorithm string `json:"algorithm"`
@@ -80,7 +81,7 @@ type Metrics struct {
 	Drops           int64 `json:"drops"`
 	AbandonedPhases int64 `json:"abandoned_phases"`
 	// Extra carries backend-specific extension counters (e.g. proto's
-	// "phases" and "matched", live's "peak_max_load", shmem's
+	// "phases" and "matched", the node fleet's "sent_*" family, shmem's
 	// "batches"). Faulted proto runs add the link counters (net_*),
 	// the failure-detector family (det_suspicions,
 	// det_false_suspicions, det_readmissions, det_detections,
@@ -90,8 +91,8 @@ type Metrics struct {
 	Extra map[string]int64 `json:"extra,omitempty"`
 	// Tasks is the task-lifecycle summary (sojourn-time quantiles,
 	// locality, hops) for backends whose unit of work carries identity
-	// end to end: sim, proto-on-sim, and live populate it; it is nil
-	// where the unit of work has no per-task trajectory (shmem's
+	// end to end: sim, proto-on-sim, and the node fleet populate it; it
+	// is nil where the unit of work has no per-task trajectory (shmem's
 	// access stream). A non-nil Summary with Completed == 0 means the
 	// backend tracks tasks but none finished yet. Like the counters it
 	// is cumulative over the run.
@@ -109,7 +110,7 @@ func (m *Metrics) AddExtra(key string, v int64) {
 
 // Runner is a steppable backend with the unified observable surface.
 // *sim.Machine (plain, or carrying the distributed proto balancer),
-// *live.System and *shmem.Runner implement it.
+// *node.Fleet and *shmem.Runner implement it.
 type Runner interface {
 	// Meta returns the run's identifying metadata.
 	Meta() Meta
@@ -123,15 +124,6 @@ type Runner interface {
 	Loads() []int32
 	// Collect returns the unified metrics at the current step.
 	Collect() Metrics
-}
-
-// FaultAware is implemented by runners that can have a fault plan
-// attached after construction but before the first step (live). The
-// lockstep backends take their plan at construction instead
-// (proto.Config.Faults); Drive reports an error when DriveConfig.Faults
-// is set and the runner cannot accept it.
-type FaultAware interface {
-	AttachFaults(plan *faults.Plan) error
 }
 
 // Observer receives a metrics sample at every drive cadence point.
@@ -160,10 +152,6 @@ type DriveConfig struct {
 	// StopWhen, if non-nil, is evaluated at every sample; when it
 	// reports true the drive ends early (Report.Stopped is set).
 	StopWhen func(m Metrics) bool
-	// Faults, if non-nil, is attached to the runner before the first
-	// step. The runner must implement FaultAware; lockstep backends
-	// take their plan at construction instead.
-	Faults *faults.Plan
 }
 
 // Report aggregates a drive.
@@ -197,15 +185,6 @@ func Drive(r Runner, cfg DriveConfig) (Report, error) {
 	}
 	if cfg.Warmup < 0 {
 		return Report{}, fmt.Errorf("engine: negative warmup %d", cfg.Warmup)
-	}
-	if cfg.Faults != nil {
-		fa, ok := r.(FaultAware)
-		if !ok {
-			return Report{}, fmt.Errorf("engine: %s backend cannot attach a fault plan after construction", r.Meta().Backend)
-		}
-		if err := fa.AttachFaults(cfg.Faults); err != nil {
-			return Report{}, err
-		}
 	}
 	every := cfg.SampleEvery
 	if every <= 0 {

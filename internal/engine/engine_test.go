@@ -1,17 +1,12 @@
 package engine
 
-import (
-	"testing"
-
-	"plb/internal/faults"
-)
+import "testing"
 
 // fakeRunner counts Steps calls for cadence assertions.
 type fakeRunner struct {
-	now      int64
-	batches  []int
-	loads    []int32
-	attached *faults.Plan
+	now     int64
+	batches []int
+	loads   []int32
 }
 
 func (f *fakeRunner) Meta() Meta { return Meta{Backend: "fake", Algorithm: "none", N: len(f.loads)} }
@@ -26,10 +21,6 @@ func (f *fakeRunner) Steps(k int) {
 func (f *fakeRunner) Loads() []int32 { return f.loads }
 func (f *fakeRunner) Collect() Metrics {
 	return Metrics{Steps: f.now, MaxLoad: f.now % 7, Messages: 3 * f.now}
-}
-func (f *fakeRunner) AttachFaults(p *faults.Plan) error {
-	f.attached = p
-	return nil
 }
 
 func TestDriveValidates(t *testing.T) {
@@ -117,26 +108,6 @@ func TestDriveStopCondition(t *testing.T) {
 	}
 	if rep.Final.Steps != 30 || rep.Samples != 3 {
 		t.Fatalf("report = %+v", rep)
-	}
-}
-
-func TestDriveFaultAttachment(t *testing.T) {
-	f := &fakeRunner{}
-	plan := faults.Lossy(0.1)
-	if _, err := Drive(f, DriveConfig{Steps: 5, Faults: &plan}); err != nil {
-		t.Fatal(err)
-	}
-	if f.attached == nil || f.attached.Drop != plan.Drop {
-		t.Fatalf("plan not attached: %+v", f.attached)
-	}
-}
-
-func TestDriveRejectsFaultsOnUnawareRunner(t *testing.T) {
-	type noFaults struct{ Runner }
-	f := &fakeRunner{}
-	plan := faults.Lossy(0.1)
-	if _, err := Drive(noFaults{f}, DriveConfig{Steps: 5, Faults: &plan}); err == nil {
-		t.Fatal("fault plan accepted by runner without AttachFaults")
 	}
 }
 

@@ -2,8 +2,9 @@
 // turns a declarative, seedable Plan (message drop/duplicate/delay
 // probabilities, processor crash/recover schedules, network partitions,
 // straggler slowdowns) into per-event verdicts that the network
-// (internal/netsim) and the steppers (internal/sim, internal/proto,
-// internal/live) consult.
+// (internal/netsim), the steppers (internal/sim, internal/proto) and
+// the node fleet's chaos layer (internal/transport/chaostrans for
+// links, the node.Fleet supervisor for crashes) consult.
 //
 // The paper assumes a perfect unit-latency network and immortal
 // processors; this package exists to measure how far the protocol's
@@ -80,8 +81,7 @@ type Plan struct {
 	CrashRecover int64
 
 	// StragglerFrac marks that fraction of processors as stragglers:
-	// every message they send is delayed by Slowdown-1 extra steps,
-	// and the live runner additionally throttles their consumption.
+	// every message they send is delayed by Slowdown-1 extra steps.
 	StragglerFrac float64
 	// Slowdown is the straggler slowdown factor (>= 2 to have any
 	// effect; forced to 2 when StragglerFrac > 0 and Slowdown < 2).

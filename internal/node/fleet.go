@@ -16,9 +16,9 @@ import (
 	"plb/internal/transport/socktrans"
 )
 
-// FleetConfig parameterizes an in-process socket fleet: n nodes spread
-// over a few transport endpoints (daemons-in-miniature), every message
-// crossing a real socket.
+// FleetConfig parameterizes an in-process fleet: n nodes spread over a
+// few transport endpoints (daemons-in-miniature), every message
+// crossing a real socket or, on the "mem" network, an in-memory bus.
 type FleetConfig struct {
 	// N is the number of processors.
 	N int
@@ -26,7 +26,9 @@ type FleetConfig struct {
 	// (<= 0 derives min(4, N)). Several processors per endpoint is the
 	// daemon deployment shape.
 	Endpoints int
-	// Network is "unix" (default) or "tcp" (loopback).
+	// Network is "unix" (default), "tcp" (loopback), or "mem": one
+	// in-memory bus delivering every frame at the next step, which makes
+	// the fleet a pure function of its configuration.
 	Network string
 	// Seed derives all fleet randomness.
 	Seed uint64
@@ -37,7 +39,8 @@ type FleetConfig struct {
 	// Scale multiplies T = (log log n)^2 in the heavy threshold.
 	Scale int
 	// Pause is the wall-clock pause per step, giving the sockets time
-	// to carry the step's traffic (<= 0 derives 200µs).
+	// to carry the step's traffic (<= 0 derives 200µs; the mem network
+	// needs none and skips it).
 	Pause time.Duration
 	// Faults, if non-nil, runs the fleet under chaos: the link part of
 	// the plan (drop, dup, delay, partitions, stragglers) executes in a
@@ -53,8 +56,8 @@ type FleetConfig struct {
 	Ledger bool
 }
 
-// endpoint is one daemon-in-miniature: a socket transport hosting a
-// contiguous block of processor ids, killable and revivable.
+// endpoint is one daemon-in-miniature: a transport hosting a contiguous
+// block of processor ids, killable and revivable.
 type endpoint struct {
 	ids    []int32
 	listen string // bind address (unix path; tcp pins the first bound port)
@@ -68,16 +71,19 @@ type endpoint struct {
 	nodes       []*Node
 }
 
-// Fleet runs N nodes over socket transports and exposes the standard
+// Fleet runs N nodes over one network and exposes the standard
 // engine.Runner surface, so `lbsim -backend sockets` reports the same
-// columns as every other backend. It is genuinely concurrent: like the
-// live backend it is only statistically reproducible — except the
-// chaos schedule (which frames are dropped, when an endpoint dies),
-// which is a pure function of the plan seed.
+// columns as every other backend. Over sockets it is genuinely
+// concurrent and only statistically reproducible — except the chaos
+// schedule (which frames are dropped, when an endpoint dies), which is
+// a pure function of the plan seed. The mem network involves no other
+// goroutine and no clock, so a fixed configuration replays exactly,
+// chaos included.
 type Fleet struct {
 	cfg   FleetConfig
 	eps   []*endpoint
 	table map[int32]string // id -> advertised address (revives rebind it)
+	bus   *memBus          // the mem network; nil over sockets
 	now   int64
 	loads []int32
 	dir   string
@@ -109,8 +115,8 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.Network == "" {
 		cfg.Network = "unix"
 	}
-	if cfg.Network != "unix" && cfg.Network != "tcp" {
-		return nil, fmt.Errorf("node: fleet network %q (have unix, tcp)", cfg.Network)
+	if cfg.Network != "unix" && cfg.Network != "tcp" && cfg.Network != "mem" {
+		return nil, fmt.Errorf("node: fleet network %q (have unix, tcp, mem)", cfg.Network)
 	}
 	if cfg.Endpoints <= 0 {
 		cfg.Endpoints = minI(4, cfg.N)
@@ -153,10 +159,13 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 
 	var err error
-	if cfg.Network == "unix" {
+	switch cfg.Network {
+	case "unix":
 		if f.dir, err = os.MkdirTemp("", "plb-fleet-*"); err != nil {
 			return nil, fmt.Errorf("node: fleet dir: %w", err)
 		}
+	case "mem":
+		f.bus = newMemBus(cfg.N)
 	}
 	listenAddr := func(e int) string {
 		if cfg.Network == "unix" {
@@ -205,26 +214,32 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 // boot binds an endpoint's transport (and its chaos wrapper) for its
 // next incarnation, without nodes.
 func (f *Fleet) boot(ep *endpoint) error {
-	sock, err := socktrans.New(socktrans.Config{
-		Network: f.cfg.Network, Listen: ep.listen,
-		N: f.cfg.N, Local: ep.ids, Peers: f.table,
-		Seed: f.cfg.Seed + uint64(ep.incarnation)*0x9e3779b9,
-	})
-	if err != nil {
-		return err
+	var inner transport.Transport
+	if f.bus != nil {
+		inner = f.bus.view(ep.ids)
+	} else {
+		sock, err := socktrans.New(socktrans.Config{
+			Network: f.cfg.Network, Listen: ep.listen,
+			N: f.cfg.N, Local: ep.ids, Peers: f.table,
+			Seed: f.cfg.Seed + uint64(ep.incarnation)*0x9e3779b9,
+		})
+		if err != nil {
+			return err
+		}
+		ep.adv = sock.Advertise()
+		if ep.listen == "127.0.0.1:0" {
+			// Pin the first bound port so revived incarnations keep the
+			// address the rest of the fleet bootstrapped with.
+			ep.listen = ep.adv
+		}
+		inner = sock
 	}
-	ep.adv = sock.Advertise()
-	if ep.listen == "127.0.0.1:0" {
-		// Pin the first bound port so revived incarnations keep the
-		// address the rest of the fleet bootstrapped with.
-		ep.listen = ep.adv
-	}
-	ep.tr = sock
+	ep.tr = inner
 	ep.chaos = nil
 	if f.linkPlan.Active() {
-		ch, err := chaostrans.Wrap(sock, f.linkPlan, f.cfg.Seed)
+		ch, err := chaostrans.Wrap(inner, f.linkPlan, f.cfg.Seed)
 		if err != nil {
-			sock.Close()
+			inner.Close()
 			return err
 		}
 		ep.tr, ep.chaos = ch, ch
@@ -256,8 +271,9 @@ func (f *Fleet) populate(ep *endpoint) error {
 
 // kill is the supervisor's SIGKILL: snapshot every hosted node's books
 // as corpse forensics, fold the incarnation's transport counters into
-// the dead totals, and tear the sockets down. Peers see connection
-// resets and their failure detectors take over.
+// the dead totals, and tear the transport down. Peers see connection
+// resets (on mem, their frames count as CrashLost) and their failure
+// detectors take over.
 func (f *Fleet) kill(ep *endpoint) {
 	for _, nd := range ep.nodes {
 		f.corpses = append(f.corpses, nd.Status())
@@ -312,14 +328,19 @@ func (f *Fleet) wantDown(ep *endpoint, step int64) bool {
 	return false
 }
 
-// Meta implements engine.Runner.
+// Meta implements engine.Runner. The backend is "sockets" over unix or
+// tcp and "mem" over the in-memory bus.
 func (f *Fleet) Meta() engine.Meta {
 	model := "none"
 	if f.cfg.Model != nil {
 		model = f.cfg.Model.Name()
 	}
+	backend := "sockets"
+	if f.bus != nil {
+		backend = "mem"
+	}
 	return engine.Meta{
-		Backend: "sockets", Algorithm: "bfm98-sock", Model: model,
+		Backend: backend, Algorithm: "pairwise-sock", Model: model,
 		N: f.cfg.N, Seed: f.cfg.Seed,
 	}
 }
@@ -330,7 +351,7 @@ func (f *Fleet) Now() int64 { return f.now }
 // Steps implements engine.Runner: each step runs the supervisor
 // (kill/revive on the seeded schedule), opens one delivery window on
 // every live endpoint, ticks every live node, and pauses long enough
-// for the sockets to carry the traffic.
+// for the sockets to carry the traffic (the mem bus carries it at once).
 func (f *Fleet) Steps(k int) {
 	for ; k > 0; k-- {
 		f.now++
@@ -360,7 +381,9 @@ func (f *Fleet) Steps(k int) {
 				nd.Tick()
 			}
 		}
-		time.Sleep(f.cfg.Pause)
+		if f.bus == nil {
+			time.Sleep(f.cfg.Pause)
+		}
 	}
 }
 
@@ -610,7 +633,8 @@ func (f *Fleet) PeerTable() map[int32]string {
 	return table
 }
 
-// Close shuts the endpoints down and removes the socket directory.
+// Close shuts the endpoints down and removes the socket directory, if
+// any.
 func (f *Fleet) Close() error {
 	for _, ep := range f.eps {
 		if ep.up {

@@ -1,8 +1,9 @@
 // Package node is the process-level runtime of the protocol: one Node
-// per hosted processor, driven by wall-clock ticks instead of lockstep
-// steps, speaking transport.Message over any transport.Transport — in
-// practice the socket transports (internal/transport/socktrans), since
-// the lockstep balancers already cover the in-memory one.
+// per hosted processor, driven by ticks instead of lockstep steps,
+// speaking transport.Message over any transport.Transport — the socket
+// transports (internal/transport/socktrans) for daemons and socket
+// fleets, or the Fleet's in-memory bus, on which a whole fleet steps on
+// one goroutine and replays exactly from its seed.
 //
 // A Node owns a FIFO task queue and, each tick, drains its inbox,
 // generates and consumes work, and balances by threshold: when its

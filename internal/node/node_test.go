@@ -73,13 +73,18 @@ func testFleetBalances(t *testing.T, network string) {
 	if m.Tasks.Locality >= 1.0 {
 		t.Fatalf("locality %v means nothing ran off-origin despite balancing", m.Tasks.Locality)
 	}
-	if f.Meta().Backend != "sockets" {
-		t.Fatalf("backend = %q", f.Meta().Backend)
+	want := "sockets"
+	if network == "mem" {
+		want = "mem"
+	}
+	if f.Meta().Backend != want {
+		t.Fatalf("backend = %q, want %q", f.Meta().Backend, want)
 	}
 }
 
 func TestFleetBalancesUnix(t *testing.T) { testFleetBalances(t, "unix") }
 func TestFleetBalancesTCP(t *testing.T)  { testFleetBalances(t, "tcp") }
+func TestFleetBalancesMem(t *testing.T)  { testFleetBalances(t, "mem") }
 
 // TestLoadGenReplay drives a daemon-shaped fleet (no local generation)
 // from a client-only load generator and checks the acked-injection

@@ -8,14 +8,6 @@ package policy
 
 func init() {
 	Register(Spec{
-		Name:    "threshold",
-		Summary: "live-backend threshold rebalancer: a processor crossing 2x the batch mean ships surplus tasks to the emptiest known peer",
-		Caps: Caps{
-			Backends: []string{"live"},
-			Faults:   []string{"live"},
-		},
-	})
-	Register(Spec{
 		Name:    "collision",
 		Summary: "shmem-backend collision protocol: replicated-memory accesses resolved by the paper's collision game over module copies",
 		Caps: Caps{

@@ -121,7 +121,7 @@ func AsBalancer(p Policy) sim.Balancer { return balancerAdapter{p} }
 func AsPlacer(r Router) sim.Placer { return placerAdapter{r} }
 
 // Caps declares what a registered policy supports, per backend. Each
-// field lists the command-line backends ("sim", "live", "shmem") on
+// field lists the command-line backends ("sim", "shmem", "sockets") on
 // which the corresponding flag is honored; a flag given outside that
 // set is a validation error that names the offending flag pair.
 type Caps struct {
@@ -199,8 +199,9 @@ type Spec struct {
 	// Caps are the declared capabilities.
 	Caps Caps
 	// Install wires the concrete strategy into cfg (Balancer or
-	// Placer). It is nil for backend built-ins (live's threshold,
-	// shmem's collision) that are constructed by the backend itself.
+	// Placer). It is nil for backend built-ins (the sockets fleet's
+	// pairwise rule, shmem's collision) that are constructed by the
+	// backend itself.
 	Install func(cfg *sim.Config, p Params) error
 }
 
@@ -313,12 +314,10 @@ func DefaultName(backend string) string {
 	switch backend {
 	case "", "sim":
 		return "bfm98"
-	case "live":
-		return "threshold"
 	case "shmem":
 		return "collision"
 	case "sockets":
-		return "bfm98-sock"
+		return "pairwise-sock"
 	}
 	return ""
 }

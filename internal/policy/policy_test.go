@@ -64,7 +64,7 @@ func TestLookupResolvesAliases(t *testing.T) {
 }
 
 func TestDefaultNamesRegistered(t *testing.T) {
-	for _, backend := range []string{"sim", "live", "shmem", "sockets"} {
+	for _, backend := range []string{"sim", "shmem", "sockets"} {
 		name := policy.DefaultName(backend)
 		spec, ok := policy.Lookup(name)
 		if !ok {

@@ -5,25 +5,30 @@ import (
 	"strings"
 	"testing"
 
-	"plb/internal/live"
+	"plb/internal/gen"
+	"plb/internal/node"
 )
 
 // The recorder must work against a non-sim Runner with the exact same
-// semantics: the tests below drive the goroutine-per-processor live
-// backend, whose stepping is genuinely concurrent.
+// semantics: the tests below drive a fleet of node runtimes exchanging
+// real messages on the in-memory network.
 
-func liveSystem(t *testing.T) *live.System {
+func memFleet(t *testing.T) *node.Fleet {
 	t.Helper()
-	s, err := live.NewSystem(live.DefaultConfig(16, 9, 7))
+	model, err := gen.NewSingle(0.4, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
-	return s
+	f, err := node.NewFleet(node.FleetConfig{N: 16, Network: "mem", Seed: 7, Model: model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
 }
 
 func TestRecorderLiveCadence(t *testing.T) {
-	s := liveSystem(t)
+	s := memFleet(t)
 	r := NewRecorder(10)
 	r.Run(s, 105) // 10, 20, ..., 100, 105
 	pts := r.Points()
@@ -38,13 +43,13 @@ func TestRecorderLiveCadence(t *testing.T) {
 	if pts[10].Step != 105 {
 		t.Fatalf("tail sample at step %d, want 105", pts[10].Step)
 	}
-	if r.Meta().Backend != "live" {
-		t.Fatalf("recorded backend %q, want live", r.Meta().Backend)
+	if r.Meta().Backend != "mem" {
+		t.Fatalf("recorded backend %q, want mem", r.Meta().Backend)
 	}
 }
 
 func TestRecorderLiveCountersMonotone(t *testing.T) {
-	s := liveSystem(t)
+	s := memFleet(t)
 	r := NewRecorder(5)
 	r.Run(s, 200)
 	var prev Point
@@ -61,12 +66,12 @@ func TestRecorderLiveCountersMonotone(t *testing.T) {
 		prev = p
 	}
 	if prev.Messages == 0 {
-		t.Fatal("live system recorded no messages in 200 steps")
+		t.Fatal("fleet recorded no messages in 200 steps")
 	}
 }
 
 func TestRecorderLiveRoundTrip(t *testing.T) {
-	s := liveSystem(t)
+	s := memFleet(t)
 	r := NewRecorder(25)
 	r.Run(s, 100)
 
@@ -101,12 +106,12 @@ func TestRecorderLiveRoundTrip(t *testing.T) {
 }
 
 func TestRecorderLiveLatencySeries(t *testing.T) {
-	// The live backend publishes Metrics.Tasks, so the recorded series
+	// The fleet publishes Metrics.Tasks, so the recorded series
 	// must carry the sojourn statistics: present, and with the
 	// cumulative ones (MaxWait) monotone across samples. A cumulative
 	// p99 may dip as fast tasks dilute the tail, but it can never
 	// exceed the cumulative max.
-	s := liveSystem(t)
+	s := memFleet(t)
 	r := NewRecorder(20)
 	r.Run(s, 400)
 	var prevMax int64
@@ -124,6 +129,6 @@ func TestRecorderLiveLatencySeries(t *testing.T) {
 		}
 	}
 	if !sawWait {
-		t.Fatal("400 live steps produced no sojourn statistics in the trace")
+		t.Fatal("400 fleet steps produced no sojourn statistics in the trace")
 	}
 }

@@ -3,7 +3,7 @@
 // message and movement counters sampled at a fixed cadence, written as
 // CSV or JSON for plotting. Because it speaks the unified engine
 // surface, the same Recorder plots the lockstep simulator, the
-// distributed protocol, the live harness, and the shmem PRAM.
+// distributed protocol, the node fleet, and the shmem PRAM.
 package trace
 
 import (
@@ -31,7 +31,8 @@ type Point struct {
 	Drops int64 `json:"drops,omitempty"`
 	// MeanWait, P99Wait and MaxWait are the cumulative task sojourn
 	// statistics at the sample time, present for backends that publish
-	// Metrics.Tasks (sim, proto, live) and zero/omitted elsewhere.
+	// Metrics.Tasks (sim, proto, the node fleet) and zero/omitted
+	// elsewhere.
 	// Like Drops they stay out of the CSV for compatibility.
 	MeanWait float64 `json:"mean_wait,omitempty"`
 	P99Wait  int64   `json:"p99_wait,omitempty"`

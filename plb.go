@@ -34,7 +34,6 @@ import (
 	"plb/internal/core"
 	"plb/internal/engine"
 	"plb/internal/gen"
-	"plb/internal/live"
 	"plb/internal/policy"
 	"plb/internal/proto"
 	"plb/internal/shmem"
@@ -192,17 +191,6 @@ func NewThrowAir(interval int, seed uint64) Balancer {
 // quantity all of the paper's bounds are stated in.
 func PaperT(n int) int { return stats.PaperT(n) }
 
-// LiveConfig parameterizes RunLive.
-type LiveConfig = live.Config
-
-// LiveStats is the aggregate outcome of a live run.
-type LiveStats = live.Stats
-
-// RunLive executes the threshold balancer with one real goroutine per
-// processor and channel mailboxes — the concurrent (nondeterministic)
-// realization of the synchronous model, validated statistically.
-func RunLive(cfg LiveConfig, steps int) (LiveStats, error) { return live.Run(cfg, steps) }
-
 // Weigher assigns service weights to generated tasks (the weighted
 // extension); install via MachineConfig.Weigher and set
 // BalancerConfig.ByWeight to balance by weight.
@@ -243,8 +231,8 @@ func NewPhaselessBalancer(n int, seed uint64) (Balancer, error) {
 }
 
 // Unified engine surface: one Runner abstraction over every backend
-// (see docs/ENGINE.md). *Machine, *LiveSystem and *ShmemRunner all
-// implement Runner, so one harness drives them all through Drive.
+// (see docs/ENGINE.md). *Machine and *ShmemRunner implement Runner,
+// so one harness drives them all through Drive.
 
 // Runner is a steppable backend with the unified observable surface.
 type Runner = engine.Runner
@@ -263,7 +251,7 @@ type Observer = engine.Observer
 type ObserverFunc = engine.ObserverFunc
 
 // DriveConfig parameterizes Drive (steps, warmup, sampling cadence,
-// observers, stop condition, fault plan).
+// observers, stop condition).
 type DriveConfig = engine.DriveConfig
 
 // DriveReport aggregates a drive (final metrics, sample count, peak
@@ -274,17 +262,6 @@ type DriveReport = engine.Report
 // the sampling cadence, notifying observers and honoring the stop
 // condition.
 func Drive(r Runner, cfg DriveConfig) (DriveReport, error) { return engine.Drive(r, cfg) }
-
-// LiveSystem is the steppable goroutine-per-processor backend.
-type LiveSystem = live.System
-
-// DefaultLiveConfig derives the live backend's thresholds from n and
-// T (the paper's formulas at laptop scale).
-func DefaultLiveConfig(n, t int, seed uint64) LiveConfig { return live.DefaultConfig(n, t, seed) }
-
-// NewLiveSystem builds the live backend as a steppable Runner (one
-// goroutine per processor; Close releases them).
-func NewLiveSystem(cfg LiveConfig) (*LiveSystem, error) { return live.NewSystem(cfg) }
 
 // ShmemRunner drives the MSS95 shared-memory simulation — the
 // collision protocol's historical home — as a Runner.

@@ -163,17 +163,3 @@ func TestFacadeWeights(t *testing.T) {
 		t.Fatal("weighted load below count with weights >= 1")
 	}
 }
-
-func TestFacadeRunLive(t *testing.T) {
-	st, err := plb.RunLive(plb.LiveConfig{
-		N: 64, P: 0.4, Eps: 0.1,
-		HeavyThreshold: 6, LightThreshold: 1, TransferAmount: 3,
-		Probes: 5, Collide: 1, Cooldown: 1, Seed: 1,
-	}, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Generated != st.Completed+st.Queued {
-		t.Fatal("live conservation violated through the façade")
-	}
-}
