@@ -10,9 +10,8 @@ import (
 )
 
 // TestResolvePolicyTable pins -policy resolution: every registry alias
-// canonicalizes, every name the retired -algo switch accepted still
-// resolves to a registered policy, and unknown names (and the empty
-// default) pass through for validation to report.
+// canonicalizes, and unknown names (and the empty default) pass
+// through for validation to report.
 func TestResolvePolicyTable(t *testing.T) {
 	cases := []struct{ flag, want string }{
 		{"", ""},
@@ -30,6 +29,12 @@ func TestResolvePolicyTable(t *testing.T) {
 			t.Errorf("ResolvePolicy(%q) = %q, want %q", c.flag, got, c.want)
 		}
 	}
+}
+
+// TestLegacyAlgoNamesStillResolve checks every name the retired -algo
+// switch accepted still resolves, through -policy, to a registered
+// policy.
+func TestLegacyAlgoNamesStillResolve(t *testing.T) {
 	legacy := []string{
 		"bfm98", "bfm98-pre", "bfm98-dist", "bfm98-phaseless",
 		"unbalanced", "greedy1", "greedy2", "rsu", "lm",
