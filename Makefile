@@ -105,11 +105,14 @@ chaos-smoke:
 	$(GO) test ./cmd/lbsimd -run 'TestDaemonChaosKillRestart' -count=1 -v
 	$(GO) run ./cmd/experiments -run E28 -quick
 
-# lint fails (not just lists) on unformatted files, then vets.
+# lint fails (not just lists) on unformatted files, then vets, then
+# fails on exported names under internal/ that no non-test file uses
+# (TestNoDeadExports in the root package).
 lint:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
+	$(GO) test -count=1 -run '^TestNoDeadExports$$' .
 
 clean:
 	$(GO) clean ./...

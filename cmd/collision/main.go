@@ -5,15 +5,8 @@
 // Usage:
 //
 //	collision [-n 65536] [-requests 0] [-a 5] [-b 2] [-c 1] [-trials 20] [-seed 1]
-//	collision -shmem [-n 4096] [-steps 50]   # drive the PRAM shared-memory
-//	                                         # simulation through engine.Drive
 //
 // With -requests 0, the Lemma 1 operating point n/(2a) is used.
-//
-// The -shmem mode exercises the same collision mechanics embedded in
-// their historical home — the MSS95 shared-memory simulation
-// (internal/shmem) — as an engine.Runner, reporting the unified
-// metrics (messages, communication rounds, module occupancy).
 package main
 
 import (
@@ -22,30 +15,21 @@ import (
 	"os"
 
 	"plb/internal/collision"
-	"plb/internal/engine"
-	"plb/internal/shmem"
 	"plb/internal/stats"
 	"plb/internal/xrand"
 )
 
 func main() {
 	var (
-		n         = flag.Int("n", 65536, "number of processors")
-		nReq      = flag.Int("requests", 0, "number of requests (0 = n/(2a))")
-		a         = flag.Int("a", 5, "queries per request")
-		bb        = flag.Int("b", 2, "required accepts per request")
-		c         = flag.Int("c", 1, "collision value")
-		trials    = flag.Int("trials", 20, "independent trials")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		shmemMd   = flag.Bool("shmem", false, "drive the shared-memory simulation (PRAM steps) instead of the standalone game")
-		pramSteps = flag.Int("steps", 50, "PRAM steps for -shmem mode")
+		n      = flag.Int("n", 65536, "number of processors")
+		nReq   = flag.Int("requests", 0, "number of requests (0 = n/(2a))")
+		a      = flag.Int("a", 5, "queries per request")
+		bb     = flag.Int("b", 2, "required accepts per request")
+		c      = flag.Int("c", 1, "collision value")
+		trials = flag.Int("trials", 20, "independent trials")
+		seed   = flag.Uint64("seed", 1, "random seed")
 	)
 	flag.Parse()
-
-	if *shmemMd {
-		runShmem(*n, *a, *bb, *c, *pramSteps, *seed)
-		return
-	}
 
 	p := collision.Params{A: *a, B: *bb, C: *c}
 	if err := p.Validate(*n); err != nil {
@@ -83,47 +67,4 @@ func main() {
 	fmt.Printf("mean rounds      = %.2f\n", rounds/ft)
 	fmt.Printf("mean steps       = %.2f (Lemma 1 budget 5 log log n = %.1f)\n", steps/ft, 5*stats.LogLog2(*n))
 	fmt.Printf("mean msgs/request= %.2f\n", msgs/ft/float64(req))
-}
-
-// runShmem drives the shared-memory simulation through engine.Drive —
-// the same harness the load-balancing backends run under — and prints
-// the unified metrics.
-func runShmem(n, a, b, c, steps int, seed uint64) {
-	// The standalone game only needs b accepts; the memory simulation
-	// needs the quorum to be a majority of the copies so reads
-	// intersect writes. Lift a sub-majority -b to the smallest
-	// consistent quorum.
-	if 2*b <= a {
-		b = a/2 + 1
-		fmt.Printf("note: raised quorum to %d (majority of %d copies required for read/write consistency)\n", b, a)
-	}
-	r, err := shmem.NewRunner(shmem.RunnerConfig{
-		Mem: shmem.Config{Procs: n, Modules: n, Copies: a, Quorum: b, ModuleCap: c, Seed: seed},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "collision:", err)
-		os.Exit(2)
-	}
-	rep, err := engine.Drive(r, engine.DriveConfig{Steps: steps, SampleEvery: maxI(1, steps/10)})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "collision:", err)
-		os.Exit(1)
-	}
-	meta, em := rep.Meta, rep.Final
-	fmt.Printf("backend=%s algo=%s model=%s n=%d seed=%d\n", meta.Backend, meta.Algorithm, meta.Model, meta.N, meta.Seed)
-	fmt.Printf("PRAM steps        = %d (accesses completed: %d)\n", em.Steps, em.Completed)
-	fmt.Printf("comm rounds       = %d (%.2f per step; round budget %d)\n",
-		em.CommRounds, float64(em.CommRounds)/float64(em.Steps), collision.Params{A: a, B: b, C: c}.DefaultRounds(n))
-	fmt.Printf("messages          = %.2f per access\n", float64(em.Messages)/float64(em.Completed))
-	fmt.Printf("collision batches = %d (+%d beyond the contention-free minimum)\n",
-		em.Extra["batches"], em.Extra["extra_batches"])
-	fmt.Printf("module occupancy  = max %d replicas, mean %.2f (peak over run %d)\n",
-		em.MaxLoad, float64(em.TotalLoad)/float64(meta.N), rep.PeakMaxLoad)
-}
-
-func maxI(x, y int) int {
-	if x > y {
-		return x
-	}
-	return y
 }

@@ -8,11 +8,10 @@
 //	lbsim -list-policies        # the policy registry with capabilities
 //	lbsim -json ...             # machine-readable summary (unified engine metrics)
 //
-// Backends: sim (default, lockstep), shmem (PRAM shared-memory
-// simulation), sockets (in-process fleet of socket-connected nodes;
-// see also cmd/lbsimd for real daemons). Policies come from the
-// internal/policy registry (-list-policies).
-// Models (sim backend): single, geometric, multi, burst, tree,
+// Backends: sim (default, lockstep), sockets (in-process fleet of
+// socket-connected nodes; see also cmd/lbsimd for real daemons).
+// Policies come from the internal/policy registry (-list-policies).
+// Models: single, geometric, multi, burst, tree,
 // hotspot, diurnal — or a declarative workload grammar spec such as
 // -model "workload:arrivals=diurnal,rate=0.45,service=pareto(1.5)".
 //
@@ -39,8 +38,8 @@ import (
 // summary is the -json output: the engine drive report plus
 // tool-level derived statistics. The task-lifetime fields mirror
 // Report.Final.Tasks (kept at the top level for script compatibility)
-// and are omitted for backends that do not track task identity
-// (shmem) or completed nothing.
+// and are omitted for runs that do not track task identity (-sparse)
+// or completed nothing.
 type summary struct {
 	engine.Report
 	PaperT       int      `json:"paper_t"`
@@ -59,9 +58,9 @@ func main() {
 	var (
 		n       = flag.Int("n", 4096, "number of processors")
 		steps   = flag.Int("steps", 5000, "simulation steps")
-		backend = flag.String("backend", "sim", "substrate: sim, shmem, sockets")
+		backend = flag.String("backend", "sim", "substrate: sim, sockets")
 		policyF = flag.String("policy", "", "balancing policy from the registry (default bfm98; see -list-policies)")
-		model   = flag.String("model", "single", "workload: single, geometric, multi, burst, tree, hotspot, diurnal, or a workload: grammar spec (sim backend only)")
+		model   = flag.String("model", "single", "workload: single, geometric, multi, burst, tree, hotspot, diurnal, or a workload: grammar spec")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		scale   = flag.Int("scale", 1, "multiplier on T=(log log n)^2 for the bfm98 config")
 		wrk     = flag.Int("workers", 0, "worker shards (0 = GOMAXPROCS)")

@@ -161,7 +161,9 @@ func runDaemon(listen string, peers map[int32]string, idsF string, n int, seed u
 		if proc.Active() {
 			fail(fmt.Errorf("lbsimd: -faults carries a crash/flap schedule; a real daemon dies by SIGKILL — kill this process and restart it with -epoch %d", epoch+1))
 		}
-		ch, werr := chaostrans.Wrap(sock, link, seed)
+		// A restarted daemon shares no clock with its previous life, so
+		// its fault clock starts at 0.
+		ch, werr := chaostrans.Wrap(sock, link, seed, 0)
 		if werr != nil {
 			fail(werr)
 		}

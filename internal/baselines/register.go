@@ -10,19 +10,11 @@ import (
 // fault plans, detector tuning or churn (validation rejects those
 // flags by capability, not by name).
 
-func simOnly(router bool) policy.Caps {
-	return policy.Caps{
-		Backends: []string{"sim"},
-		Workload: []string{"sim"},
-		Router:   router,
-	}
-}
-
 func init() {
 	policy.Register(policy.Spec{
 		Name:    "unbalanced",
 		Summary: "no balancing at all — Lemma 2's reference system",
-		Caps:    simOnly(false),
+		Caps:    policy.Caps{Backend: "sim"},
 		Install: func(cfg *sim.Config, p policy.Params) error {
 			cfg.Balancer = policy.AsBalancer(Unbalanced{})
 			return nil
@@ -32,7 +24,7 @@ func init() {
 		Name:    "greedy1",
 		Aliases: []string{"single-choice"},
 		Summary: "single-choice balls-into-bins: every task lands on one uniform random processor",
-		Caps:    simOnly(true),
+		Caps:    policy.Caps{Backend: "sim", Router: true},
 		Install: func(cfg *sim.Config, p policy.Params) error {
 			g, err := NewGreedyD(1)
 			if err != nil {
@@ -46,7 +38,7 @@ func init() {
 		Name:    "greedy2",
 		Aliases: []string{"greedy-d"},
 		Summary: "ABKU two-choice placement: each task joins the less loaded of 2 random probes",
-		Caps:    simOnly(true),
+		Caps:    policy.Caps{Backend: "sim", Router: true},
 		Install: func(cfg *sim.Config, p policy.Params) error {
 			g, err := NewGreedyD(2)
 			if err != nil {
@@ -59,7 +51,7 @@ func init() {
 	policy.Register(policy.Spec{
 		Name:    "rsu",
 		Summary: "Rudolph-Slivkin-Allalouf-Upfal pairwise equalization, every processor every step",
-		Caps:    simOnly(false),
+		Caps:    policy.Caps{Backend: "sim"},
 		Install: func(cfg *sim.Config, p policy.Params) error {
 			cfg.Balancer = policy.AsBalancer(&RSU{Seed: p.Seed})
 			return nil
@@ -68,7 +60,7 @@ func init() {
 	policy.Register(policy.Spec{
 		Name:    "lm",
 		Summary: "Lüling-Monien doubling trigger: equalize with k random partners when load doubles",
-		Caps:    simOnly(false),
+		Caps:    policy.Caps{Backend: "sim"},
 		Install: func(cfg *sim.Config, p policy.Params) error {
 			cfg.Balancer = policy.AsBalancer(&LM{K: 2, Seed: p.Seed})
 			return nil
@@ -77,7 +69,7 @@ func init() {
 	policy.Register(policy.Spec{
 		Name:    "lauer",
 		Summary: "Lauer's average-band activation with a known system average",
-		Caps:    simOnly(false),
+		Caps:    policy.Caps{Backend: "sim"},
 		Install: func(cfg *sim.Config, p policy.Params) error {
 			cfg.Balancer = policy.AsBalancer(&Lauer{C: 2, Seed: p.Seed})
 			return nil
@@ -86,7 +78,7 @@ func init() {
 	policy.Register(policy.Spec{
 		Name:    "lauer-est",
 		Summary: "Lauer's band activation with a sampled (k=32) average instead of an oracle",
-		Caps:    simOnly(false),
+		Caps:    policy.Caps{Backend: "sim"},
 		Install: func(cfg *sim.Config, p policy.Params) error {
 			cfg.Balancer = policy.AsBalancer(&Lauer{C: 2, EstimateK: 32, Seed: p.Seed})
 			return nil
@@ -95,7 +87,7 @@ func init() {
 	policy.Register(policy.Spec{
 		Name:    "throwair",
 		Summary: "the concluding-remarks strawman: periodically scatter the whole system load",
-		Caps:    simOnly(false),
+		Caps:    policy.Caps{Backend: "sim"},
 		Install: func(cfg *sim.Config, p policy.Params) error {
 			cfg.Balancer = policy.AsBalancer(&ThrowAir{Interval: 4, Seed: p.Seed})
 			return nil
@@ -105,7 +97,7 @@ func init() {
 		Name:    "localsearch",
 		Aliases: []string{"local-search"},
 		Summary: "randomized local search: probe one partner, move a single task when the gap ≥ 2",
-		Caps:    simOnly(false),
+		Caps:    policy.Caps{Backend: "sim"},
 		Install: func(cfg *sim.Config, p policy.Params) error {
 			cfg.Balancer = policy.AsBalancer(&LocalSearch{Seed: p.Seed})
 			return nil

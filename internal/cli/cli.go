@@ -23,7 +23,6 @@ import (
 	"plb/internal/gen"
 	"plb/internal/node"
 	"plb/internal/policy"
-	"plb/internal/shmem"
 	"plb/internal/sim"
 	"plb/internal/stats"
 	"plb/internal/transport/chaostrans"
@@ -55,13 +54,14 @@ func ResolvePolicy(name string) string {
 // construction error names internals, not the flags the user typed).
 // backend "" means "sim"; an empty spec means the flag was not given.
 // Every rule is derived from the policy registry's capability
-// declarations; unknown model names are left to the constructors,
-// which list the valid names. sparse mirrors the -sparse
-// flag: event-driven stepping exists only on the sim backend and only
-// for policies that declare the Sparse capability. listen and peers
-// mirror the socket-backend flags: listen picks the in-process fleet's
-// socket flavor ("unix" or "tcp"), peers exists only for lbsimd.
-func ValidateFlags(backend, policyName, model, faultSpec, detectSpec, churnSpec string, sparse bool, listen, peers string) error {
+// declarations; -model is not checked here, because every policy
+// honors it on its backend and the constructors list the valid names.
+// sparse mirrors the -sparse flag: event-driven stepping exists only
+// on the sim backend and only for policies that declare the Sparse
+// capability. listen and peers mirror the socket-backend flags: listen
+// picks the in-process fleet's socket flavor ("unix" or "tcp"), peers
+// exists only for lbsimd.
+func ValidateFlags(backend, policyName, faultSpec, detectSpec, churnSpec string, sparse bool, listen, peers string) error {
 	if backend == "" {
 		backend = "sim"
 	}
@@ -102,25 +102,21 @@ func ValidateFlags(backend, policyName, model, faultSpec, detectSpec, churnSpec 
 	if !ok {
 		return fmt.Errorf("cli: unknown -policy %q (have %v)", name, policy.Names())
 	}
-	if !spec.Caps.OnBackend(backend) {
-		return fmt.Errorf("cli: -backend %s with -policy %s: %s runs on backends %v (this backend has %v)",
-			backend, name, name, spec.Caps.Backends, policy.BackendNames(backend))
+	if spec.Caps.Backend != backend {
+		return fmt.Errorf("cli: -backend %s with -policy %s: %s runs on backend %s (this backend has %v)",
+			backend, name, name, spec.Caps.Backend, policy.BackendNames(backend))
 	}
-	if model != "" && model != "single" && !spec.Caps.WorkloadOn(backend) {
-		return fmt.Errorf("cli: -backend %s with -model %s: policy %s generates its own built-in workload on this backend",
-			backend, model, name)
-	}
-	if faultSpec != "" && !spec.Caps.FaultsOn(backend) {
+	if faultSpec != "" && !spec.Caps.Faults {
 		return fmt.Errorf("cli: -faults with -backend %s -policy %s: fault injection needs %s",
-			backend, name, orList(policy.CapableNames(policy.Caps.FaultsOn)))
+			backend, name, orList(policy.CapableNames(func(c policy.Caps) bool { return c.Faults })))
 	}
-	if detectSpec != "" && !spec.Caps.DetectOn(backend) {
+	if detectSpec != "" && !spec.Caps.Detect {
 		return fmt.Errorf("cli: -detect with -backend %s -policy %s: the failure detector needs %s",
-			backend, name, orList(policy.CapableNames(policy.Caps.DetectOn)))
+			backend, name, orList(policy.CapableNames(func(c policy.Caps) bool { return c.Detect })))
 	}
-	if churnSpec != "" && !spec.Caps.ChurnOn(backend) {
+	if churnSpec != "" && !spec.Caps.Churn {
 		return fmt.Errorf("cli: -churn with -backend %s -policy %s: elastic membership needs %s",
-			backend, name, orList(policy.CapableNames(policy.Caps.ChurnOn)))
+			backend, name, orList(policy.CapableNames(func(c policy.Caps) bool { return c.Churn })))
 	}
 	if sparse {
 		if backend != "sim" {
@@ -177,8 +173,7 @@ func BuildModel(name string, n int, seed uint64) (gen.Model, error) {
 
 // BuildWorkload resolves a model name or a "workload:..." grammar spec
 // into an arrival model plus an optional service weigher (nil for unit
-// service). An empty name means the default "single" model, matching
-// ValidateFlags' reading of an unset -model flag.
+// service). An empty name means the default "single" model.
 func BuildWorkload(name string, n int, seed uint64) (gen.Model, gen.Weigher, error) {
 	if name == "" {
 		name = "single"
@@ -201,7 +196,7 @@ func BuildWorkload(name string, n int, seed uint64) (gen.Model, gen.Weigher, err
 // cfg.Sparse is part of the validated surface: a policy without the
 // Sparse capability cannot be installed on an event-driven machine.
 func InstallPolicy(cfg *sim.Config, name string, p policy.Params) error {
-	if err := ValidateFlags("sim", name, "", p.Faults, p.Detect, p.Churn, cfg.Sparse, "", ""); err != nil {
+	if err := ValidateFlags("sim", name, p.Faults, p.Detect, p.Churn, cfg.Sparse, "", ""); err != nil {
 		return err
 	}
 	if name == "" {
@@ -212,23 +207,19 @@ func InstallPolicy(cfg *sim.Config, name string, p policy.Params) error {
 		return fmt.Errorf("cli: unknown -policy %q (have %v)", name, policy.Names())
 	}
 	if spec.Install == nil {
-		return fmt.Errorf("cli: policy %s is a %s-backend built-in and cannot be installed on sim", spec.Name, spec.Caps.Backends[0])
+		return fmt.Errorf("cli: policy %s is a %s-backend built-in and cannot be installed on sim", spec.Name, spec.Caps.Backend)
 	}
 	return spec.Install(cfg, p)
 }
 
 // BackendNames lists the backends BuildRunner accepts.
-func BackendNames() []string { return []string{"sim", "shmem", "sockets"} }
+func BackendNames() []string { return []string{"sim", "sockets"} }
 
 // BuildRunner constructs an engine.Runner for a named backend.
 //
 //   - "sim" (default) wires a workload + policy into the lockstep
 //     machine; policy bfm98-dist rides it as the message-passing proto
 //     backend. model may be a name or a "workload:..." grammar spec.
-//   - "shmem" builds the PRAM shared-memory simulation driven by a
-//     synthetic access stream; it runs the collision protocol at the
-//     Lemma 1 operating point (a=5, b=2, c=1) and accepts policy
-//     "collision" or the default.
 //   - "sockets" boots an in-process fleet of node runtimes whose every
 //     message crosses a real socket (internal/node over socktrans);
 //     listen picks the flavor ("unix", the default, or "tcp"). It is
@@ -238,7 +229,7 @@ func BackendNames() []string { return []string{"sim", "shmem", "sockets"} }
 // Callers that need backend-specific knobs beyond these should build
 // the runner directly; this covers the common command-line surface.
 func BuildRunner(backend, policyName, model string, n, scale int, seed uint64, workers int, faultSpec, detectSpec, churnSpec string, sparse bool, listen, peers string) (engine.Runner, error) {
-	if err := ValidateFlags(backend, policyName, model, faultSpec, detectSpec, churnSpec, sparse, listen, peers); err != nil {
+	if err := ValidateFlags(backend, policyName, faultSpec, detectSpec, churnSpec, sparse, listen, peers); err != nil {
 		return nil, err
 	}
 	switch backend {
@@ -253,10 +244,6 @@ func BuildRunner(backend, policyName, model string, n, scale int, seed uint64, w
 			return nil, err
 		}
 		return sim.New(cfg)
-	case "shmem":
-		return shmem.NewRunner(shmem.RunnerConfig{
-			Mem: shmem.Config{Procs: n, Modules: n, Copies: 5, Quorum: 3, ModuleCap: 1, Seed: seed},
-		})
 	case "sockets":
 		mod, weigher, err := BuildWorkload(model, n, seed)
 		if err != nil {

@@ -15,50 +15,45 @@ import (
 func TestValidateFlagCombos(t *testing.T) {
 	const churn = "churn:join=1,leave=1,period=50"
 	cases := []struct {
-		name                                        string
-		backend, algo, model, faults, detect, churn string
-		sparse                                      bool
-		want                                        []string // substrings the error must carry; empty = must pass
+		name                                 string
+		backend, algo, faults, detect, churn string
+		sparse                               bool
+		want                                 []string // substrings the error must carry; empty = must pass
 	}{
-		{"defaults", "sim", "bfm98", "single", "", "", "", false, nil},
-		{"empty backend is sim", "", "bfm98-dist", "single", "lossy:0.1", "", "", false, nil},
-		{"faulted dist", "sim", "bfm98-dist", "burst", "lossy:0.1", "suspect=20", churn, false, nil},
-		{"faults off-protocol", "sim", "rsu", "single", "lossy:0.1", "", "", false, []string{"-faults", "-policy rsu"}},
-		{"churn off-protocol", "sim", "bfm98", "single", "", "", churn, false, []string{"-churn", "-policy bfm98"}},
-		{"detect alone", "sim", "bfm98-dist", "single", "", "suspect=20", "", false, []string{"-detect", "-faults"}},
-		{"detect rides churn", "sim", "bfm98-dist", "single", "", "suspect=20", churn, false, nil},
-		{"unknown backend", "live", "", "single", "", "", "", false, []string{"-backend", "live"}},
-		{"sockets policy", "sockets", "rsu", "single", "", "", "", false, []string{"-backend sockets", "-policy rsu"}},
-		{"sockets detect", "sockets", "", "single", "lossy:0.1", "suspect=20", "", false, []string{"-backend sockets", "-detect"}},
-		{"shmem ok", "shmem", "collision", "single", "", "", "", false, nil},
-		{"shmem model", "shmem", "", "burst", "", "", "", false, []string{"-backend shmem", "-model burst"}},
-		{"shmem faults", "shmem", "", "single", "lossy:0.1", "", "", false, []string{"-backend shmem", "-faults"}},
-		{"shmem detect", "shmem", "", "single", "", "suspect=20", "", false, []string{"-backend shmem", "-detect"}},
-		{"shmem churn", "shmem", "", "single", "", "", churn, false, []string{"-backend shmem", "-churn"}},
-		{"sparse bfm98", "sim", "bfm98", "single", "", "", "", true, nil},
-		{"sparse phaseless", "sim", "bfm98-phaseless", "single", "", "", "", true, nil},
-		{"sparse pre-round", "sim", "bfm98-pre", "single", "", "", "", true, nil},
-		{"sparse off-policy", "sim", "bfm98-dist", "single", "", "", "", true, []string{"-sparse", "-policy bfm98-dist"}},
-		{"sparse router", "sim", "rsu", "single", "", "", "", true, []string{"-sparse", "-policy rsu"}},
-		{"sparse sockets", "sockets", "", "single", "", "", "", true, []string{"-sparse", "-backend sockets"}},
-		{"sparse shmem", "shmem", "collision", "single", "", "", "", true, []string{"-sparse", "-backend shmem"}},
+		{"defaults", "sim", "bfm98", "", "", "", false, nil},
+		{"empty backend is sim", "", "bfm98-dist", "lossy:0.1", "", "", false, nil},
+		{"faulted dist", "sim", "bfm98-dist", "lossy:0.1", "suspect=20", churn, false, nil},
+		{"faults off-protocol", "sim", "rsu", "lossy:0.1", "", "", false, []string{"-faults", "-policy rsu"}},
+		{"churn off-protocol", "sim", "bfm98", "", "", churn, false, []string{"-churn", "-policy bfm98"}},
+		{"detect alone", "sim", "bfm98-dist", "", "suspect=20", "", false, []string{"-detect", "-faults"}},
+		{"detect rides churn", "sim", "bfm98-dist", "", "suspect=20", churn, false, nil},
+		{"unknown backend", "live", "", "", "", "", false, []string{"-backend", "live"}},
+		{"retired shmem backend", "shmem", "", "", "", "", false, []string{"-backend", "shmem"}},
+		{"sockets policy", "sockets", "rsu", "", "", "", false, []string{"-backend sockets", "-policy rsu"}},
+		{"sockets detect", "sockets", "", "lossy:0.1", "suspect=20", "", false, []string{"-backend sockets", "-detect"}},
+		{"sparse bfm98", "sim", "bfm98", "", "", "", true, nil},
+		{"sparse phaseless", "sim", "bfm98-phaseless", "", "", "", true, nil},
+		{"sparse pre-round", "sim", "bfm98-pre", "", "", "", true, nil},
+		{"sparse off-policy", "sim", "bfm98-dist", "", "", "", true, []string{"-sparse", "-policy bfm98-dist"}},
+		{"sparse router", "sim", "rsu", "", "", "", true, []string{"-sparse", "-policy rsu"}},
+		{"sparse sockets", "sockets", "", "", "", "", true, []string{"-sparse", "-backend sockets"}},
 		// Socket fleets honor the emulable part of the fault grammar:
 		// link faults run in the chaostrans middleware, crash/flap drive
 		// the supervisor; churn/drain/redistribute have no real-network
 		// emulation and are rejected naming the daemon-lifecycle way.
-		{"sockets lossy", "sockets", "", "single", "lossy:0.1,dup:0.05", "", "", false, nil},
-		{"sockets delay", "sockets", "", "single", "delay:0.2@3,seed:7", "", "", false, nil},
-		{"sockets partition", "sockets", "", "single", "partition:2@100", "", "", false, nil},
-		{"sockets crash", "sockets", "", "single", "crash:1@50-200", "", "", false, nil},
-		{"sockets flap", "sockets", "", "single", "flap:k=1,period=80,duty=0.5", "", "", false, nil},
-		{"sockets kitchen sink", "sockets", "", "single", "lossy:0.05,partition:2@60,crash:1@40-120", "", "", false, nil},
-		{"sockets malformed", "sockets", "", "single", "lossy:nope", "", "", false, []string{"-faults"}},
-		{"sockets churn", "sockets", "", "single", "churn:join=1,leave=1,period=50", "", "", false, []string{"-backend sockets", "churn", "lbsimd"}},
-		{"sockets drain", "sockets", "", "single", "drain:2@50", "", "", false, []string{"-backend sockets", "drain", "SIGTERM"}},
-		{"sockets redistribute", "sockets", "", "single", "crash:1@50-200,redistribute", "", "", false, []string{"-backend sockets", "redistribute"}},
+		{"sockets lossy", "sockets", "", "lossy:0.1,dup:0.05", "", "", false, nil},
+		{"sockets delay", "sockets", "", "delay:0.2@3,seed:7", "", "", false, nil},
+		{"sockets partition", "sockets", "", "partition:2@100", "", "", false, nil},
+		{"sockets crash", "sockets", "", "crash:1@50-200", "", "", false, nil},
+		{"sockets flap", "sockets", "", "flap:k=1,period=80,duty=0.5", "", "", false, nil},
+		{"sockets kitchen sink", "sockets", "", "lossy:0.05,partition:2@60,crash:1@40-120", "", "", false, nil},
+		{"sockets malformed", "sockets", "", "lossy:nope", "", "", false, []string{"-faults"}},
+		{"sockets churn", "sockets", "", "churn:join=1,leave=1,period=50", "", "", false, []string{"-backend sockets", "churn", "lbsimd"}},
+		{"sockets drain", "sockets", "", "drain:2@50", "", "", false, []string{"-backend sockets", "drain", "SIGTERM"}},
+		{"sockets redistribute", "sockets", "", "crash:1@50-200,redistribute", "", "", false, []string{"-backend sockets", "redistribute"}},
 	}
 	for _, c := range cases {
-		err := ValidateFlags(c.backend, c.algo, c.model, c.faults, c.detect, c.churn, c.sparse, "", "")
+		err := ValidateFlags(c.backend, c.algo, c.faults, c.detect, c.churn, c.sparse, "", "")
 		if len(c.want) == 0 {
 			if err != nil {
 				t.Errorf("%s: unexpected error: %v", c.name, err)
@@ -258,9 +253,6 @@ func TestBuildRunnerRejectsMismatches(t *testing.T) {
 		{"live", "", "single", ""},
 		{"sockets", "rsu", "single", ""},
 		{"sockets", "", "single", "crash:1@50-200,redistribute"},
-		{"shmem", "greedy2", "single", ""},
-		{"shmem", "bfm98", "tree", ""},
-		{"shmem", "bfm98", "single", "lossy:0.1"},
 	}
 	for _, c := range cases {
 		if _, err := BuildRunner(c.backend, c.algo, c.model, 64, 1, 1, 0, c.faults, "", "", false, "", ""); err == nil {
@@ -296,8 +288,5 @@ func TestInstallPolicyDetect(t *testing.T) {
 	}
 	if _, err := BuildRunner("sockets", "", "single", 8, 1, 1, 0, "lossy:0.5", "suspect=20", "", false, "", ""); err == nil {
 		t.Fatal("sockets backend accepted -detect")
-	}
-	if _, err := BuildRunner("shmem", "collision", "single", 32, 1, 1, 0, "", "suspect=20", "", false, "", ""); err == nil {
-		t.Fatal("shmem backend accepted -detect")
 	}
 }

@@ -67,18 +67,18 @@ func TestEveryPolicyBackendFlagCombo(t *testing.T) {
 		{"churn", "", "", "churn:join=2,leave=2,period=40"},
 		{"detect-alone", "", "suspect=8,down=16,hb=4", ""}, // illegal everywhere
 	}
-	// The live backend and the threshold policy were removed: a command
-	// line still naming either must be rejected up front, naming the
-	// flag that carries the retired name.
+	// The live and shmem backends and the threshold and collision
+	// policies were removed: a command line still naming one must be
+	// rejected up front, naming the flag that carries the retired name.
 	backends := []string{"sim", "live", "shmem", "sockets"}
-	policies := append(policy.Names(), "threshold")
+	policies := append(policy.Names(), "threshold", "collision")
 	const n = 64
 	for _, pol := range policies {
 		for _, backend := range backends {
 			for _, c := range combos {
 				name := pol + "/" + backend + "/" + c.label
 				t.Run(name, func(t *testing.T) {
-					err := cli.ValidateFlags(backend, pol, "", c.faults, c.detect, c.churn, false, "", "")
+					err := cli.ValidateFlags(backend, pol, c.faults, c.detect, c.churn, false, "", "")
 					if retired := retiredFlag(backend, pol); retired != "" && (err == nil || !strings.Contains(err.Error(), retired)) {
 						t.Fatalf("retired name: got %v, want a rejection naming %s", err, retired)
 					}
@@ -112,9 +112,9 @@ func TestEveryPolicyBackendFlagCombo(t *testing.T) {
 // name, or returns "" when neither name was removed.
 func retiredFlag(backend, pol string) string {
 	switch {
-	case backend == "live":
+	case backend == "live", backend == "shmem":
 		return "-backend"
-	case pol == "threshold":
+	case pol == "threshold", pol == "collision":
 		return "-policy"
 	}
 	return ""

@@ -5,42 +5,28 @@ import (
 	"plb/internal/sim"
 )
 
-// The paper's own configurations, registered as policies. bfm98 also
-// names the shmem collision protocol (historical flag compatibility),
-// so its backend list spans both; it honors no fault plan — the sim
-// realization is atomic and has no network to perturb (that is
-// bfm98-dist's job, registered by internal/proto).
+// The paper's own configurations, registered as policies. None honors
+// a fault plan: the sim realization is atomic and has no network to
+// perturb (that is bfm98-dist's job, registered by internal/proto).
 
 func init() {
 	policy.Register(policy.Spec{
 		Name:    "bfm98",
 		Summary: "the paper's phase-based tree-growth balancer (atomic realization; T=(log log n)²)",
-		Caps: policy.Caps{
-			Backends: []string{"sim", "shmem"},
-			Workload: []string{"sim"},
-			Sparse:   true,
-		},
+		Caps:    policy.Caps{Backend: "sim", Sparse: true},
 		Install: installCore(false),
 	})
 	policy.Register(policy.Spec{
 		Name:    "bfm98-pre",
 		Summary: "bfm98 with the constant-factor pre-round heuristic enabled",
-		Caps: policy.Caps{
-			Backends: []string{"sim"},
-			Workload: []string{"sim"},
-			Sparse:   true,
-		},
+		Caps:    policy.Caps{Backend: "sim", Sparse: true},
 		Install: installCore(true),
 	})
 	policy.Register(policy.Spec{
 		Name:    "bfm98-phaseless",
 		Aliases: []string{"phaseless"},
 		Summary: "the self-clocked variant: initiators launch trees whenever local thresholds trip",
-		Caps: policy.Caps{
-			Backends: []string{"sim"},
-			Workload: []string{"sim"},
-			Sparse:   true,
-		},
+		Caps:    policy.Caps{Backend: "sim", Sparse: true},
 		Install: func(cfg *sim.Config, p policy.Params) error {
 			b, err := NewPhaseless(p.N, p.Seed)
 			if err != nil {

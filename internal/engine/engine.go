@@ -1,8 +1,7 @@
 // Package engine is the unified measurement layer over the repo's
 // substrates: the lockstep simulator (internal/sim, with the atomic and
 // distributed balancers on top), the fleet of message-passing node
-// runtimes (internal/node, over sockets or the in-memory network), and
-// the PRAM shared-memory simulation (internal/shmem).
+// runtimes (internal/node, over sockets or the in-memory network).
 //
 // Each substrate grew its own run loop, metrics struct, and ad-hoc
 // wiring; engine collapses them behind one Runner interface with one
@@ -13,7 +12,7 @@
 // The contract:
 //
 //   - Runner.Steps advances the backend by whole time steps. Lockstep
-//     backends (sim, proto-on-sim, shmem) and the node fleet on the
+//     backends (sim, proto-on-sim) and the node fleet on the
 //     in-memory network are bit-reproducible for a fixed seed
 //     regardless of how the steps are batched; a fleet over sockets is
 //     genuinely concurrent and only statistically reproducible.
@@ -39,14 +38,13 @@ import (
 // Meta identifies a run: which backend, which algorithm, which
 // workload, at what size and seed.
 type Meta struct {
-	// Backend names the substrate: "sim", "proto", "shmem", "sockets",
-	// "mem".
+	// Backend names the substrate: "sim", "proto", "sockets", "mem".
 	Backend string `json:"backend"`
-	// Algorithm names the balancing algorithm (or access protocol).
+	// Algorithm names the balancing algorithm.
 	Algorithm string `json:"algorithm"`
 	// Model names the workload generation model.
 	Model string `json:"model"`
-	// N is the number of processors (modules for shmem).
+	// N is the number of processors.
 	N int `json:"n"`
 	// Seed is the master random seed of the run.
 	Seed uint64 `json:"seed"`
@@ -62,8 +60,7 @@ type Metrics struct {
 	// MaxLoad and TotalLoad are the load statistics at collection time.
 	MaxLoad   int64 `json:"max_load"`
 	TotalLoad int64 `json:"total_load"`
-	// Generated and Completed count tasks (accesses for shmem) over
-	// the whole run. Backends that conserve tasks maintain
+	// Generated and Completed count tasks over the whole run. Backends that conserve tasks maintain
 	// Generated == Completed + TotalLoad.
 	Generated int64 `json:"generated"`
 	Completed int64 `json:"completed"`
@@ -81,8 +78,8 @@ type Metrics struct {
 	Drops           int64 `json:"drops"`
 	AbandonedPhases int64 `json:"abandoned_phases"`
 	// Extra carries backend-specific extension counters (e.g. proto's
-	// "phases" and "matched", the node fleet's "sent_*" family, shmem's
-	// "batches"). Faulted proto runs add the link counters (net_*),
+	// "phases" and "matched", the node fleet's "sent_*" family).
+	// Faulted proto runs add the link counters (net_*),
 	// the failure-detector family (det_suspicions,
 	// det_false_suspicions, det_readmissions, det_detections,
 	// det_latency_sum, det_missed_windows, hb_sent) and the
@@ -92,8 +89,8 @@ type Metrics struct {
 	// Tasks is the task-lifecycle summary (sojourn-time quantiles,
 	// locality, hops) for backends whose unit of work carries identity
 	// end to end: sim, proto-on-sim, and the node fleet populate it; it
-	// is nil where the unit of work has no per-task trajectory (shmem's
-	// access stream). A non-nil Summary with Completed == 0 means the
+	// is nil where the unit of work has no per-task trajectory (the
+	// sparse sim engine's load counters). A non-nil Summary with Completed == 0 means the
 	// backend tracks tasks but none finished yet. Like the counters it
 	// is cumulative over the run.
 	Tasks *task.Summary `json:"tasks,omitempty"`
@@ -110,7 +107,7 @@ func (m *Metrics) AddExtra(key string, v int64) {
 
 // Runner is a steppable backend with the unified observable surface.
 // *sim.Machine (plain, or carrying the distributed proto balancer),
-// *node.Fleet and *shmem.Runner implement it.
+// and *node.Fleet implement it.
 type Runner interface {
 	// Meta returns the run's identifying metadata.
 	Meta() Meta

@@ -6,21 +6,6 @@ import (
 	"hash/fnv"
 )
 
-// SparseCapable is implemented by runners that can execute in the
-// event-driven sparse mode (sim.Machine). Tools use IsSparse to label
-// output; the equivalence harness below is mode-agnostic.
-type SparseCapable interface {
-	// SparseActive reports whether the runner is currently executing
-	// event-driven.
-	SparseActive() bool
-}
-
-// IsSparse reports whether r is running in sparse mode.
-func IsSparse(r Runner) bool {
-	s, ok := r.(SparseCapable)
-	return ok && s.SparseActive()
-}
-
 // TrajectoryDigest advances r one step at a time for steps steps and
 // folds every per-step load snapshot into an FNV-64a digest (4
 // little-endian bytes per load — the same scheme as the pinned golden

@@ -59,7 +59,7 @@ func TestSparseReproducesPinnedGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Inject(0, 64)
-	if !engine.IsSparse(m) {
+	if !m.SparseActive() {
 		t.Fatal("machine does not report sparse mode")
 	}
 	if got := snapshotDigest(t, m, goldenCoreSteps); got != goldenSimCore {
@@ -185,7 +185,7 @@ func TestSparseCollectParity(t *testing.T) {
 	if sm.Extra["sparse_replayed"] == 0 {
 		t.Fatalf("no analytic replay recorded: %v", sm.Extra)
 	}
-	if engine.IsSparse(dense) || !engine.IsSparse(sparse) {
-		t.Fatal("IsSparse misreports mode")
+	if dense.SparseActive() || !sparse.SparseActive() {
+		t.Fatal("SparseActive misreports mode")
 	}
 }

@@ -47,7 +47,7 @@ func runE12(cfg RunConfig) (*Result, error) {
 	}
 	// The node runtime joins the faceoff on the in-memory network
 	// through the same engine harness, at a capped scale: every node
-	// greets every other at boot, 2·n·(n−1) join frames in one volley.
+	// greets every other at boot, n·(n−1) join frames in one volley.
 	fleetN := n
 	if fleetN > 1<<10 {
 		fleetN = 1 << 10

@@ -45,7 +45,7 @@ func (c Crash) covers(step int64) bool {
 }
 
 // Plan declares a fault schedule. The zero value injects nothing;
-// presets (Lossy, Partition, CrashRandom, Stragglers) build common
+// presets (Lossy, Partition, CrashWindow, Stragglers, Flap) build common
 // single-fault plans and Merge composes them. Probabilities outside
 // [0, 1] are clamped by Normalized (called by NewInjector), never
 // rejected, so randomly generated plans are always runnable.
@@ -142,12 +142,6 @@ func Partition(groups int, steps int64) Plan {
 	return Plan{PartitionGroups: groups, PartitionUntil: steps}
 }
 
-// CrashRandom returns a plan crashing k distinct random processors at
-// step 0, never recovering.
-func CrashRandom(k int) Plan {
-	return Plan{CrashK: k, CrashRecover: -1}
-}
-
 // CrashWindow returns a plan crashing k distinct random processors at
 // step at and recovering them at step recover (negative: never).
 func CrashWindow(k int, at, recover int64) Plan {
@@ -166,20 +160,6 @@ func Stragglers(frac float64, slowdown int) Plan {
 // (staggered per processor).
 func Flap(k int, period int64, duty float64) Plan {
 	return Plan{FlapK: k, FlapPeriod: period, FlapDuty: duty}
-}
-
-// Churn returns a plan cycling membership: every period steps, join
-// slots enter the system and leave processors drain out of it
-// (staggered half a period apart).
-func Churn(join, leave int, period int64) Plan {
-	return Plan{ChurnJoin: join, ChurnLeave: leave, ChurnPeriod: period}
-}
-
-// Drain returns the scale-in preset: k processors (k < 1 would be a
-// fraction via DrainFrac; use the Plan literal for that) begin
-// draining at step at and depart once their custody reaches zero.
-func Drain(k int, at int64) Plan {
-	return Plan{DrainK: k, DrainAt: at}
 }
 
 // Merge overlays q on p: probabilities and factors take q's value

@@ -11,9 +11,6 @@ func TestPresets(t *testing.T) {
 	if p := Partition(2, 100); p.PartitionGroups != 2 || p.PartitionUntil != 100 {
 		t.Fatalf("Partition: %+v", p)
 	}
-	if p := CrashRandom(3); p.CrashK != 3 || p.CrashRecover >= 0 {
-		t.Fatalf("CrashRandom: %+v", p)
-	}
 	if p := CrashWindow(3, 10, 20); p.CrashAt != 10 || p.CrashRecover != 20 {
 		t.Fatalf("CrashWindow: %+v", p)
 	}
@@ -43,7 +40,7 @@ func TestNormalizedClamps(t *testing.T) {
 }
 
 func TestMergeComposes(t *testing.T) {
-	p := Lossy(0.05).Merge(CrashRandom(2)).Merge(Stragglers(0.1, 4))
+	p := Lossy(0.05).Merge(CrashWindow(2, 0, -1)).Merge(Stragglers(0.1, 4))
 	if p.Drop != 0.05 || p.CrashK != 2 || p.StragglerFrac != 0.1 || p.Slowdown != 4 {
 		t.Fatalf("merge lost fields: %+v", p)
 	}
@@ -86,7 +83,7 @@ func TestCrashWindows(t *testing.T) {
 
 func TestCrashRandomPicksExactlyK(t *testing.T) {
 	n, k := 64, 7
-	inj, err := NewInjector(n, CrashRandom(k))
+	inj, err := NewInjector(n, CrashWindow(k, 0, -1))
 	if err != nil {
 		t.Fatal(err)
 	}

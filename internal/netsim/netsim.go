@@ -9,13 +9,11 @@
 // traffic. Delivery order within an inbox is deterministic (sender id,
 // then send order), so protocols built on netsim are reproducible.
 //
-// The message vocabulary (Message, Kind) lives in internal/transport —
-// netsim re-exports it under its historical names — and Network
-// implements transport.Transport, so the protocol core in
-// internal/proto is unaware it runs in memory rather than over the
-// socket transports in internal/transport/socktrans. netsim is the
-// only transport implementing transport.FaultHooks: simulated fault
-// plans attach here, real networks bring their own faults.
+// The message vocabulary lives in internal/transport (netsim keeps
+// Message as an alias under its historical name), and Network
+// implements transport.Transport. Simulated fault plans attach here
+// (SetFaults, SetGone, InjectLoss); the node runtime's real networks
+// get theirs from internal/transport/chaostrans.
 //
 // The counter-based balancer in internal/core models communication by
 // accounting; the state machines in internal/proto actually exchange
@@ -32,34 +30,13 @@ import (
 	"plb/internal/xrand"
 )
 
-// Kind tags the protocol meaning of a message. It is the canonical
-// transport.Kind under its historical name.
-type Kind = transport.Kind
-
-// The message kinds, re-exported from internal/transport.
-const (
-	KindQuery       = transport.KindQuery
-	KindAccept      = transport.KindAccept
-	KindID          = transport.KindID
-	KindForward     = transport.KindForward
-	KindTransfer    = transport.KindTransfer
-	KindProbe       = transport.KindProbe
-	KindHeartbeat   = transport.KindHeartbeat
-	KindTransferAck = transport.KindTransferAck
-	KindJoin        = transport.KindJoin
-	KindDrain       = transport.KindDrain
-	KindLeave       = transport.KindLeave
-)
-
 // Message is one point-to-point datagram (transport.Message under its
 // historical name).
 type Message = transport.Message
 
-// Network implements the full transport contract plus the simulation
-// capabilities.
+// Network implements the full transport contract.
 var (
 	_ transport.Transport   = (*Network)(nil)
-	_ transport.FaultHooks  = (*Network)(nil)
 	_ transport.KindCounter = (*Network)(nil)
 )
 

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"plb/internal/faults"
+	"plb/internal/transport"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -19,13 +20,13 @@ func TestNewValidation(t *testing.T) {
 
 func TestUnitLatency(t *testing.T) {
 	nw, _ := New(3)
-	nw.Send(Message{From: 0, To: 2, Kind: KindQuery, A: 7})
+	nw.Send(Message{From: 0, To: 2, Kind: transport.KindQuery, A: 7})
 	if len(nw.Inbox(2)) != 0 {
 		t.Fatal("message visible before Deliver")
 	}
 	nw.Deliver()
 	in := nw.Inbox(2)
-	if len(in) != 1 || in[0].A != 7 || in[0].Kind != KindQuery {
+	if len(in) != 1 || in[0].A != 7 || in[0].Kind != transport.KindQuery {
 		t.Fatalf("inbox = %+v", in)
 	}
 	nw.Deliver()

@@ -187,7 +187,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	for e, ids := range locals {
 		ep := &endpoint{ids: ids, listen: listenAddr(e)}
 		f.eps = append(f.eps, ep)
-		if err := f.boot(ep); err != nil {
+		if err := f.boot(ep, 0); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("node: fleet endpoint %d: %w", e, err)
 		}
@@ -212,8 +212,10 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 }
 
 // boot binds an endpoint's transport (and its chaos wrapper) for its
-// next incarnation, without nodes.
-func (f *Fleet) boot(ep *endpoint) error {
+// next incarnation, without nodes. clock is the number of delivery
+// windows the fleet has opened so far, where the chaos layer's fault
+// clock resumes.
+func (f *Fleet) boot(ep *endpoint, clock int64) error {
 	var inner transport.Transport
 	if f.bus != nil {
 		inner = f.bus.view(ep.ids)
@@ -237,7 +239,7 @@ func (f *Fleet) boot(ep *endpoint) error {
 	ep.tr = inner
 	ep.chaos = nil
 	if f.linkPlan.Active() {
-		ch, err := chaostrans.Wrap(inner, f.linkPlan, f.cfg.Seed)
+		ch, err := chaostrans.Wrap(inner, f.linkPlan, f.cfg.Seed, clock)
 		if err != nil {
 			inner.Close()
 			return err
@@ -296,16 +298,18 @@ func (f *Fleet) kill(ep *endpoint) {
 }
 
 // revive is the supervisor's restart: rebind the same address, rewrap
-// the chaos layer, and boot fresh nodes as the next incarnation. Their
-// startup KindJoin volley is what resets peers' dedup rings for the
-// restarted epoch. A bind failure (the OS can hold a just-closed
-// address briefly) leaves the endpoint down; the supervisor retries
-// next step.
+// the chaos layer on the fleet's fault clock, and boot fresh nodes as
+// the next incarnation. Their startup KindJoin volley is what resets
+// peers' dedup rings for the restarted epoch. A bind failure (the OS
+// can hold a just-closed address briefly) leaves the endpoint down;
+// the supervisor retries next step.
 func (f *Fleet) revive(ep *endpoint) {
 	if f.cfg.Network == "unix" {
 		os.Remove(ep.listen)
 	}
-	if err := f.boot(ep); err != nil {
+	// Steps revives before opening this step's delivery window, so
+	// f.now-1 windows are open.
+	if err := f.boot(ep, f.now-1); err != nil {
 		return
 	}
 	if err := f.populate(ep); err != nil {

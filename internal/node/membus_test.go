@@ -123,3 +123,47 @@ func TestMemBusAccounting(t *testing.T) {
 		t.Fatalf("id 2 still holds %d slots after its burst drained", c)
 	}
 }
+
+// TestBootJoinVolleyOnce checks the boot handshake costs one KindJoin
+// per ordered pair: every node bootstraps with the whole id space, so
+// nobody greets back.
+func TestBootJoinVolleyOnce(t *testing.T) {
+	const n = 16
+	f, err := NewFleet(FleetConfig{N: n, Network: "mem", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	f.Steps(3)
+	if got, want := f.Collect().Extra["sent_join"], int64(n*(n-1)); got != want {
+		t.Fatalf("sent_join = %d after boot, want n·(n−1) = %d", got, want)
+	}
+}
+
+// TestReviveKeepsFaultClock runs a partition that heals at step 100
+// and a crash window that revives an endpoint at step 200: the revived
+// endpoint's chaos layer must share the fleet's fault clock, so the
+// healed partition stays healed and no frame drops after step 100.
+func TestReviveKeepsFaultClock(t *testing.T) {
+	plan, err := faults.ParsePlan("partition:2@100,crash:1@150-200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFleet(FleetConfig{N: 8, Endpoints: 8, Network: "mem", Seed: 3, Faults: &plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	f.Steps(100)
+	healed := f.Collect().Drops
+	if healed == 0 {
+		t.Fatal("the partition dropped nothing before it healed")
+	}
+	f.Steps(200)
+	if f.Restarts() == 0 {
+		t.Fatal("the crash window never revived an endpoint")
+	}
+	if got := f.Collect().Drops; got != healed {
+		t.Fatalf("%d frames dropped after the partition healed at step 100", got-healed)
+	}
+}

@@ -93,10 +93,6 @@ type Config struct {
 	// Detect overrides the failure-detector tuning (zero fields keep
 	// the schedule-derived defaults).
 	Detect detect.Config
-	// Peers lists the ids greeted by the startup join volley; nil
-	// means every other id in [0, N). Ids outside [0, N) and the node's
-	// own id are ignored.
-	Peers []int32
 	// Epoch is this incarnation's epoch number, carried on every
 	// outbound transfer so receivers and the conservation ledger can
 	// tell a restarted sender's reused sequence numbers from the
@@ -179,11 +175,10 @@ type Node struct {
 	rec   task.Recorder
 
 	now int64
-	// peers is the active set in id order; isPeer and greeted are
-	// indexed by id over [0, N).
+	// peers is the active set in id order; isPeer is indexed by id
+	// over [0, N).
 	peers     []int32
 	isPeer    []bool
-	greeted   []bool
 	nextSeq   int32
 	inflight  map[int32]*pendingXfer // seq -> block
 	dedup     map[int32]*dedupRing   // sender -> applied seqs
@@ -251,7 +246,6 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 		rng:      xrand.New(cfg.Seed).Split(uint64(cfg.ID) + 0x9e3779b9),
 		det:      det,
 		isPeer:   make([]bool, cfg.N),
-		greeted:  make([]bool, cfg.N),
 		inflight: make(map[int32]*pendingXfer),
 		dedup:    make(map[int32]*dedupRing),
 		epoch:    uint8(cfg.Epoch),
@@ -260,21 +254,14 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 		n.outLog = make(map[int32]*OutRecord)
 		n.inLog = make(map[inKey]*InRecord)
 	}
-	peers := cfg.Peers
-	if peers == nil {
-		for p := int32(0); p < int32(cfg.N); p++ {
-			if p != cfg.ID {
-				peers = append(peers, p)
-			}
+	// Startup join volley. Every node bootstraps with the whole id
+	// space, so a receiver learns nothing from greeting back: the
+	// volley alone resets each peer's dedup ring for this incarnation.
+	for p := int32(0); p < int32(cfg.N); p++ {
+		if p != cfg.ID {
+			n.admit(p)
+			n.send(transport.Message{From: cfg.ID, To: p, Kind: transport.KindJoin})
 		}
-	}
-	for _, p := range peers {
-		n.admit(p)
-	}
-	// Startup join volley: announce this node to every bootstrap peer
-	// so fleets assembled in any order converge on one active set.
-	for _, p := range n.peers {
-		n.send(transport.Message{From: cfg.ID, To: p, Kind: transport.KindJoin})
 	}
 	return n, nil
 }
@@ -445,12 +432,6 @@ func (n *Node) handle(m transport.Message) {
 			return
 		}
 		n.admit(m.From)
-		// Greet back once so both sides converge even when only one had
-		// the other in its bootstrap volley.
-		if !n.greeted[m.From] {
-			n.greeted[m.From] = true
-			n.send(transport.Message{From: n.cfg.ID, To: m.From, Kind: transport.KindJoin})
-		}
 	case transport.KindDrain, transport.KindLeave:
 		n.evict(m.From)
 	case transport.KindHeartbeat:

@@ -148,12 +148,3 @@ func RangesReduce[T any](n, workers int, f func(shard, lo, hi int) T, merge func
 	}
 	return acc
 }
-
-// For invokes f(i) for each i in [0, n) concurrently over shards.
-func For(n, workers int, f func(i int)) {
-	Ranges(n, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f(i)
-		}
-	})
-}

@@ -101,18 +101,6 @@ func TestRangesReduceMergeOrder(t *testing.T) {
 	}
 }
 
-func TestForSum(t *testing.T) {
-	const n = 10000
-	var sum int64
-	For(n, 8, func(i int) {
-		atomic.AddInt64(&sum, int64(i))
-	})
-	want := int64(n) * (n - 1) / 2
-	if sum != want {
-		t.Fatalf("sum = %d, want %d", sum, want)
-	}
-}
-
 func TestDeterministicShardBoundaries(t *testing.T) {
 	// Shard boundaries must be a pure function of (n, workers).
 	f := func(nRaw, wRaw uint16) bool {

@@ -17,23 +17,22 @@
 //     balancer, the distributed protocol) keep implementing
 //     sim.Balancer directly and are registered all the same.
 //   - Spec / Register / Lookup: the registry. A Spec couples a name to
-//     capability flags (which backends it runs on, whether it honors
-//     fault plans, failure-detector tuning, churn schedules, or a
-//     workload spec) and an Install hook that wires the concrete
-//     strategy into a sim.Config. Command-line validation derives
-//     every cross-flag rule from these capabilities instead of
-//     hard-coding policy names.
+//     capability flags (the backend it runs on, whether it honors
+//     fault plans, failure-detector tuning or churn schedules) and an
+//     Install hook that wires the concrete strategy into a
+//     sim.Config. Command-line validation derives every cross-flag
+//     rule from these capabilities instead of hard-coding policy
+//     names.
 //
-// Every registered policy executes through sim.Machine + engine.Drive,
-// so all of them inherit Metrics.Tasks (wait quantiles, locality,
-// hops), Extra counters, fault plumbing where declared, and
-// trace/benchjson output for free.
+// Every registered policy with an Install hook executes through
+// sim.Machine + engine.Drive, so all of them inherit Metrics.Tasks
+// (wait quantiles, locality, hops), Extra counters, fault plumbing
+// where declared, and trace/benchjson output for free.
 package policy
 
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"plb/internal/sim"
 	"plb/internal/xrand"
@@ -120,22 +119,19 @@ func AsBalancer(p Policy) sim.Balancer { return balancerAdapter{p} }
 // AsPlacer adapts a Router to the sim.Placer interface.
 func AsPlacer(r Router) sim.Placer { return placerAdapter{r} }
 
-// Caps declares what a registered policy supports, per backend. Each
-// field lists the command-line backends ("sim", "shmem", "sockets") on
-// which the corresponding flag is honored; a flag given outside that
-// set is a validation error that names the offending flag pair.
+// Caps declares what a registered policy supports. A flag the policy
+// does not honor is a validation error that names the offending flag
+// pair.
 type Caps struct {
-	// Backends lists the backends the policy runs on at all.
-	Backends []string
-	// Faults lists the backends where a -faults plan is honored.
-	Faults []string
-	// Detect lists the backends where -detect tuning is honored.
-	Detect []string
-	// Churn lists the backends where a -churn schedule is honored.
-	Churn []string
-	// Workload lists the backends where a -model / workload spec is
-	// honored; on the others the policy runs its built-in workload.
-	Workload []string
+	// Backend names the command-line backend the policy runs on ("sim"
+	// or "sockets").
+	Backend string
+	// Faults marks policies that honor a -faults plan.
+	Faults bool
+	// Detect marks policies that honor -detect tuning.
+	Detect bool
+	// Churn marks policies that honor a -churn schedule.
+	Churn bool
 	// Router marks task-allocation strategies (the policy routes
 	// fresh tasks instead of moving queued ones).
 	Router bool
@@ -145,31 +141,6 @@ type Caps struct {
 	// bit-identical trajectories.
 	Sparse bool
 }
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
-// OnBackend reports whether the policy runs on the named backend.
-func (c Caps) OnBackend(b string) bool { return contains(c.Backends, b) }
-
-// FaultsOn reports whether -faults is honored on the named backend.
-func (c Caps) FaultsOn(b string) bool { return contains(c.Faults, b) }
-
-// DetectOn reports whether -detect is honored on the named backend.
-func (c Caps) DetectOn(b string) bool { return contains(c.Detect, b) }
-
-// ChurnOn reports whether -churn is honored on the named backend.
-func (c Caps) ChurnOn(b string) bool { return contains(c.Churn, b) }
-
-// WorkloadOn reports whether a workload spec is honored on the named
-// backend.
-func (c Caps) WorkloadOn(b string) bool { return contains(c.Workload, b) }
 
 // Params carries the construction knobs an Install hook receives.
 type Params struct {
@@ -199,9 +170,8 @@ type Spec struct {
 	// Caps are the declared capabilities.
 	Caps Caps
 	// Install wires the concrete strategy into cfg (Balancer or
-	// Placer). It is nil for backend built-ins (the sockets fleet's
-	// pairwise rule, shmem's collision) that are constructed by the
-	// backend itself.
+	// Placer). It is nil for a backend built-in (the sockets fleet's
+	// pairwise rule) that the backend constructs itself.
 	Install func(cfg *sim.Config, p Params) error
 }
 
@@ -274,7 +244,7 @@ func Names() []string {
 func BackendNames(backend string) []string {
 	var out []string
 	for _, s := range All() {
-		if s.Caps.OnBackend(backend) {
+		if s.Caps.Backend == backend {
 			out = append(out, s.Name)
 		}
 	}
@@ -293,16 +263,14 @@ func InstallableNames() []string {
 	return out
 }
 
-// CapableNames returns, for a capability selector (e.g. Caps.FaultsOn),
-// the "name (backend)" pairs that support it — used to build flag
-// errors that suggest valid alternatives without hard-coding names.
-func CapableNames(on func(Caps, string) bool) []string {
+// CapableNames returns, for a capability selector, the "name (-backend
+// b)" pairs that support it — used to build flag errors that suggest
+// valid alternatives without hard-coding names.
+func CapableNames(has func(Caps) bool) []string {
 	var out []string
 	for _, s := range All() {
-		for _, b := range s.Caps.Backends {
-			if on(s.Caps, b) {
-				out = append(out, fmt.Sprintf("%s (-backend %s)", s.Name, b))
-			}
+		if has(s.Caps) {
+			out = append(out, fmt.Sprintf("%s (-backend %s)", s.Name, s.Caps.Backend))
 		}
 	}
 	return out
@@ -314,8 +282,6 @@ func DefaultName(backend string) string {
 	switch backend {
 	case "", "sim":
 		return "bfm98"
-	case "shmem":
-		return "collision"
 	case "sockets":
 		return "pairwise-sock"
 	}
@@ -323,14 +289,14 @@ func DefaultName(backend string) string {
 }
 
 // Table renders the registry as rows for listings: name, kind,
-// backends, and a yes/— cell per capability, plus the summary.
+// backend, and a yes/— cell per capability, plus the summary.
 func Table() (header []string, rows [][]string) {
-	header = []string{"policy", "kind", "backends", "faults", "detect", "churn", "workload", "sparse", "summary"}
-	capCell := func(list []string) string {
-		if len(list) == 0 {
-			return "—"
+	header = []string{"policy", "kind", "backend", "faults", "detect", "churn", "sparse", "summary"}
+	cell := func(on bool) string {
+		if on {
+			return "yes"
 		}
-		return strings.Join(list, ",")
+		return "—"
 	}
 	for _, s := range All() {
 		kind := "balancer"
@@ -340,34 +306,11 @@ func Table() (header []string, rows [][]string) {
 		if s.Install == nil {
 			kind = "built-in"
 		}
-		sparse := "—"
-		if s.Caps.Sparse {
-			sparse = "yes"
-		}
 		rows = append(rows, []string{
-			s.Name, kind,
-			strings.Join(s.Caps.Backends, ","),
-			capCell(s.Caps.Faults),
-			capCell(s.Caps.Detect),
-			capCell(s.Caps.Churn),
-			capCell(s.Caps.Workload),
-			sparse,
+			s.Name, kind, s.Caps.Backend,
+			cell(s.Caps.Faults), cell(s.Caps.Detect), cell(s.Caps.Churn), cell(s.Caps.Sparse),
 			s.Summary,
 		})
 	}
 	return header, rows
-}
-
-// MarkdownMatrix renders the registry capability matrix as a Markdown
-// table — the source of truth for the README's policy matrix (a test
-// asserts the README block matches this output).
-func MarkdownMatrix() string {
-	header, rows := Table()
-	var b strings.Builder
-	b.WriteString("| " + strings.Join(header, " | ") + " |\n")
-	b.WriteString("|" + strings.Repeat("---|", len(header)) + "\n")
-	for _, row := range rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	return b.String()
 }

@@ -30,15 +30,8 @@ func TestRegistryShape(t *testing.T) {
 		if s.Summary == "" {
 			t.Errorf("policy %s has no summary", s.Name)
 		}
-		if len(s.Caps.Backends) == 0 {
-			t.Errorf("policy %s declares no backend", s.Name)
-		}
-		for _, lists := range [][]string{s.Caps.Faults, s.Caps.Detect, s.Caps.Churn, s.Caps.Workload} {
-			for _, b := range lists {
-				if !s.Caps.OnBackend(b) {
-					t.Errorf("policy %s declares a capability on backend %q it does not run on", s.Name, b)
-				}
-			}
+		if s.Caps.Backend == "" || policy.DefaultName(s.Caps.Backend) == "" {
+			t.Errorf("policy %s declares backend %q, which has no default policy", s.Name, s.Caps.Backend)
 		}
 	}
 }
@@ -64,13 +57,13 @@ func TestLookupResolvesAliases(t *testing.T) {
 }
 
 func TestDefaultNamesRegistered(t *testing.T) {
-	for _, backend := range []string{"sim", "shmem", "sockets"} {
+	for _, backend := range []string{"sim", "sockets"} {
 		name := policy.DefaultName(backend)
 		spec, ok := policy.Lookup(name)
 		if !ok {
 			t.Fatalf("default policy %q for backend %s not registered", name, backend)
 		}
-		if !spec.Caps.OnBackend(backend) {
+		if spec.Caps.Backend != backend {
 			t.Fatalf("default policy %q does not run on its own backend %s", name, backend)
 		}
 	}
@@ -94,8 +87,21 @@ func TestTableRowPerPolicy(t *testing.T) {
 	}
 }
 
+// markdownMatrix renders the registry capability matrix as a Markdown
+// table — the source of truth for the README's policy matrix.
+func markdownMatrix() string {
+	header, rows := policy.Table()
+	var b strings.Builder
+	b.WriteString("| " + strings.Join(header, " | ") + " |\n")
+	b.WriteString("|" + strings.Repeat("---|", len(header)) + "\n")
+	for _, row := range rows {
+		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
+	}
+	return b.String()
+}
+
 // TestReadmeMatrixInSync asserts the README's policy matrix block is
-// exactly policy.MarkdownMatrix() — the README table is generated, not
+// exactly markdownMatrix() — the README table is generated, not
 // hand-maintained, so a new registration without a README regen fails
 // here.
 func TestReadmeMatrixInSync(t *testing.T) {
@@ -111,8 +117,8 @@ func TestReadmeMatrixInSync(t *testing.T) {
 		t.Fatalf("README.md is missing the %s / %s markers", begin, end)
 	}
 	got := strings.TrimSpace(readme[i+len(begin) : j])
-	want := strings.TrimSpace(policy.MarkdownMatrix())
+	want := strings.TrimSpace(markdownMatrix())
 	if got != want {
-		t.Fatalf("README policy matrix is stale; regenerate the block between the markers from policy.MarkdownMatrix():\n%s", want)
+		t.Fatalf("README policy matrix is stale; regenerate the block between the markers from markdownMatrix():\n%s", want)
 	}
 }

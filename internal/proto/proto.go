@@ -3,15 +3,10 @@
 // exchanges real messages over a unit-latency synchronous network,
 // following the pseudocode of Figure 2.
 //
-// The balancer speaks the transport.Transport contract exclusively —
-// it names no transport implementation. By default it runs on the
-// in-memory network (internal/netsim, registered as transport.Mem by
-// internal/sim), which is the configuration the golden digests pin;
-// Config.Transport can substitute any other implementation spanning
-// the same id space. Fault plans need the transport.FaultHooks
-// capability, which only the in-memory network has — socket transports
-// decline fault plans loudly, because on a real network real packet
-// loss is the injector.
+// The balancer runs on the in-memory synchronous network
+// (internal/netsim), whose hooks carry the simulated fault plans; the
+// golden digests pin that configuration. Real networks are the node
+// runtime's job (internal/node).
 //
 // internal/core implements the same algorithm with the collision games
 // evaluated atomically at phase starts and communication merely
@@ -70,6 +65,7 @@ import (
 	"plb/internal/engine"
 	"plb/internal/faults"
 	"plb/internal/membership"
+	"plb/internal/netsim"
 	"plb/internal/sim"
 	"plb/internal/transport"
 	"plb/internal/xrand"
@@ -140,13 +136,6 @@ type Config struct {
 	// the sender gives up and keeps the tasks (they never left its
 	// queue). 0 derives 4.
 	XferAttempts int
-	// Transport substitutes the message substrate. nil (the default,
-	// and the only configuration the golden digests pin) builds the
-	// in-memory synchronous network through the transport.Mem hook. A
-	// non-nil transport must span exactly n endpoints, and fault
-	// injection (Faults, LossProb) additionally requires it to
-	// implement transport.FaultHooks.
-	Transport transport.Transport
 }
 
 // ScheduleLen returns the number of machine steps the distributed
@@ -211,9 +200,6 @@ func (c Config) Validate(n int) error {
 	if c.XferTimeout < 0 || c.XferAttempts < 0 {
 		return fmt.Errorf("proto: transfer timeout %d and attempts %d must be >= 0",
 			c.XferTimeout, c.XferAttempts)
-	}
-	if c.Transport != nil && c.Transport.N() != n {
-		return fmt.Errorf("proto: transport spans %d endpoints, balancer needs %d", c.Transport.N(), n)
 	}
 	return c.Collision.Validate(n)
 }
@@ -294,7 +280,7 @@ type Balancer struct {
 	cfg Config
 	n   int
 	rng *xrand.Stream
-	nw  transport.Transport
+	nw  *netsim.Network
 
 	procs     []procState
 	heavies   []int32 // roots of this phase
@@ -444,13 +430,11 @@ func (b *Balancer) ExtendMetrics(m *engine.Metrics) {
 			m.AddExtra("net_duplicated", st.Duplicated)
 			m.AddExtra("net_delayed", st.Delayed)
 			m.AddExtra("net_crash_lost", st.CrashLost)
-			if kc, ok := b.nw.(transport.KindCounter); ok {
-				// Per-kind send mix, keyed by Kind.String() names, so fault
-				// output says which traffic class paid for the degradation.
-				for k, c := range kc.SentByKind() {
-					if c > 0 {
-						m.AddExtra("sent_"+transport.Kind(k).String(), c)
-					}
+			// Per-kind send mix, keyed by Kind.String() names, so fault
+			// output says which traffic class paid for the degradation.
+			for k, c := range b.nw.SentByKind() {
+				if c > 0 {
+					m.AddExtra("sent_"+transport.Kind(k).String(), c)
 				}
 			}
 		} else {
@@ -489,42 +473,22 @@ func (b *Balancer) ExtendMetrics(m *engine.Metrics) {
 	}
 }
 
-// faultHooks asserts the transport's fault-injection capability. Only
-// the in-memory network has it: a fault plan on a socket transport is
-// a configuration error, reported loudly here — real networks inject
-// their own faults (kill the process, drop real packets).
-func (b *Balancer) faultHooks() transport.FaultHooks {
-	h, ok := b.nw.(transport.FaultHooks)
-	if !ok {
-		panic(fmt.Sprintf("proto: transport %T (%s) declines fault plans — simulated faults need the in-memory transport; real transports get real faults",
-			b.nw, b.nw.LocalAddr()))
-	}
-	return h
-}
-
 // Init implements sim.Balancer.
 func (b *Balancer) Init(m *sim.Machine) {
 	if m.N() != b.n {
 		panic(fmt.Sprintf("proto: balancer built for n=%d installed on n=%d", b.n, m.N()))
 	}
 	b.rng = xrand.New(b.cfg.Seed ^ 0xd157)
-	if b.cfg.Transport != nil {
-		b.nw = b.cfg.Transport
-	} else {
-		if transport.Mem == nil {
-			panic("proto: no in-memory transport registered (import plb/internal/sim, or set Config.Transport)")
-		}
-		nw, err := transport.Mem(b.n)
-		if err != nil {
-			panic(err)
-		}
-		b.nw = nw
+	nw, err := netsim.New(b.n)
+	if err != nil {
+		panic(err) // New validated n already
 	}
+	b.nw = nw
 	if b.cfg.LossProb > 0 {
-		b.faultHooks().InjectLoss(b.cfg.LossProb, b.cfg.Seed)
+		b.nw.InjectLoss(b.cfg.LossProb, b.cfg.Seed)
 	}
 	if b.inj != nil {
-		b.faultHooks().SetFaults(b.inj)
+		b.nw.SetFaults(b.inj)
 		// The fault clock is the transport step, which runs one ahead of
 		// the machine step during a balancer step (Deliver happens
 		// first); DownOracle translates so schedules mean the same
@@ -570,7 +534,7 @@ func (b *Balancer) Init(m *sim.Machine) {
 				return crash(p, now) || b.mem.Gone(int32(p))
 			})
 			m.SetGenOff(func(p int, now int64) bool { return b.mem.GenOff(int32(p)) })
-			b.faultHooks().SetGone(func(p int32, step int64) bool { return b.mem.Gone(p) })
+			b.nw.SetGone(func(p int32, step int64) bool { return b.mem.Gone(p) })
 		}
 	}
 	b.procs = make([]procState, b.n)

@@ -377,13 +377,7 @@ func TestBoundedSendDegree(t *testing.T) {
 	}
 	m.Run(4 * cfg.PhaseLen)
 	limit := cfg.Collision.A + cfg.Collision.C + 3
-	// PeakSendDegree is an in-memory-transport diagnostic, not part of
-	// the transport contract; reach it through a capability assertion.
-	deg, ok := b.nw.(interface{ PeakSendDegree() int })
-	if !ok {
-		t.Fatalf("default transport %T lacks PeakSendDegree", b.nw)
-	}
-	if got := deg.PeakSendDegree(); got > limit {
+	if got := b.nw.PeakSendDegree(); got > limit {
 		t.Fatalf("send degree %d exceeds model constant %d", got, limit)
 	}
 }

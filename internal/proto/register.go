@@ -12,13 +12,7 @@ func init() {
 		Name:    "bfm98-dist",
 		Aliases: []string{"proto"},
 		Summary: "the paper's protocol as message-passing state machines over netsim; the only sim policy with a perturbable network",
-		Caps: policy.Caps{
-			Backends: []string{"sim"},
-			Faults:   []string{"sim"},
-			Detect:   []string{"sim"},
-			Churn:    []string{"sim"},
-			Workload: []string{"sim"},
-		},
+		Caps:    policy.Caps{Backend: "sim", Faults: true, Detect: true, Churn: true},
 		Install: func(cfg *sim.Config, p policy.Params) error {
 			c := DefaultConfig(p.N)
 			c.Seed = p.Seed

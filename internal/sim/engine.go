@@ -2,7 +2,7 @@
 // that drives runs through engine.Drive (experiments, cmd/lbsim,
 // cmd/sweep, internal/trace) handles the lockstep simulator — and,
 // via the hooks below, the distributed proto balancer riding on it —
-// with the same code that handles live and shmem.
+// with the same code that handles the node fleet.
 package sim
 
 import "plb/internal/engine"
@@ -68,7 +68,7 @@ func (m *Machine) Collect() engine.Metrics {
 		// Counters, not tasks: completion comes from the replay
 		// arithmetic (MaxLoad above already synced everyone, so the
 		// conservation identity holds exactly) and there is no task
-		// identity to summarize — Tasks stays nil, like shmem.
+		// identity to summarize — Tasks stays nil.
 		em.Completed = e.completedTotal()
 		synced, replayed := m.SparseStats()
 		em.AddExtra("sparse", 1)

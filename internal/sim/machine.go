@@ -113,7 +113,7 @@ type Config struct {
 	// requires a gen.Bounded model and excludes Placer, Weigher and
 	// StepAware models — New reports an error for those combinations.
 	// Task identity (wait times, hops, locality) is not tracked;
-	// Collect publishes Tasks == nil like the shmem backend.
+	// Collect publishes Tasks == nil.
 	Sparse bool
 }
 

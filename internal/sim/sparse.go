@@ -119,7 +119,7 @@ func newSparseEngine(n, shards int) *sparseEngine {
 
 // SparseActive reports whether the machine runs in the sparse
 // event-driven mode. Balancers use it to select their index-driven
-// code path; engine.IsSparse exposes it through the Runner interface.
+// code path.
 func (m *Machine) SparseActive() bool { return m.sparse != nil }
 
 // ConfigureHeavyIndex installs the incrementally-maintained heavy

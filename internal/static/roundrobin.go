@@ -41,11 +41,7 @@ func init() {
 		Name:    "rr",
 		Aliases: []string{"round-robin"},
 		Summary: "global round-robin dispatch: task i to processor i mod n, one message per task",
-		Caps: policy.Caps{
-			Backends: []string{"sim"},
-			Workload: []string{"sim"},
-			Router:   true,
-		},
+		Caps:    policy.Caps{Backend: "sim", Router: true},
 		Install: func(cfg *sim.Config, p policy.Params) error {
 			cfg.Placer = policy.AsPlacer(&RoundRobin{})
 			return nil

@@ -187,40 +187,6 @@ func Stemann(m, n, rounds int, r *xrand.Stream) ParallelResult {
 	return res
 }
 
-// WeightedGreedyD is the Berenbrink, Meyer auf der Heide and Schröder
-// setting: balls carry weights and each ball joins the bin with the
-// smallest current total weight among d random choices. It returns the
-// per-bin total weights. It panics unless 1 <= d <= n.
-func WeightedGreedyD(weights []float64, n, d int, r *xrand.Stream) []float64 {
-	if d < 1 || d > n {
-		panic(fmt.Sprintf("static: WeightedGreedyD d=%d out of [1, n=%d]", d, n))
-	}
-	loads := make([]float64, n)
-	buf := make([]int, d)
-	for _, w := range weights {
-		r.SampleDistinct(buf, d, n, -1)
-		best := buf[0]
-		for _, b := range buf[1:] {
-			if loads[b] < loads[best] {
-				best = b
-			}
-		}
-		loads[best] += w
-	}
-	return loads
-}
-
-// MaxFloat returns the maximum entry of xs (0 for empty xs).
-func MaxFloat(xs []float64) float64 {
-	m := 0.0
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 func maxOf(xs []int) int {
 	m := 0
 	for _, x := range xs {

@@ -1,7 +1,6 @@
 package static
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -168,66 +167,6 @@ func TestStemannBeatsSingleChoice(t *testing.T) {
 	}
 	if st >= sc {
 		t.Fatalf("Stemann mean max %.1f not below single choice %.1f", st/trials, sc/trials)
-	}
-}
-
-func TestWeightedGreedyD(t *testing.T) {
-	r := xrand.New(10)
-	n := 128
-	weights := make([]float64, 4*n)
-	var total float64
-	for i := range weights {
-		weights[i] = 1 + float64(i%7)
-		total += weights[i]
-	}
-	loads := WeightedGreedyD(weights, n, 2, r)
-	var placed float64
-	for _, l := range loads {
-		placed += l
-	}
-	if math.Abs(placed-total) > 1e-9 {
-		t.Fatalf("weight lost: %v vs %v", placed, total)
-	}
-	// Two choices keep the max near the average plus the max weight.
-	avg := total / float64(n)
-	if mx := MaxFloat(loads); mx > 2*avg+7 {
-		t.Fatalf("weighted max %.1f vs avg %.1f", mx, avg)
-	}
-}
-
-func TestWeightedUniformityComparison(t *testing.T) {
-	// BMS97's point: with skewed weights, weighted-aware placement
-	// (by total weight) beats counting balls. Compare weighted greedy
-	// against count-greedy on the same skewed stream.
-	root := xrand.New(11)
-	n := 256
-	weights := make([]float64, 4*n)
-	for i := range weights {
-		if i%64 == 0 {
-			weights[i] = 32 // rare heavy balls
-		} else {
-			weights[i] = 1
-		}
-	}
-	r1 := root.Split(1)
-	byWeight := MaxFloat(WeightedGreedyD(weights, n, 2, r1))
-	// Count-greedy: place by ball count, then evaluate weight.
-	r2 := root.Split(2)
-	loads := make([]float64, n)
-	counts := make([]int, n)
-	buf := make([]int, 2)
-	for _, w := range weights {
-		r2.SampleDistinct(buf, 2, n, -1)
-		best := buf[0]
-		if counts[buf[1]] < counts[best] {
-			best = buf[1]
-		}
-		counts[best]++
-		loads[best] += w
-	}
-	byCount := MaxFloat(loads)
-	if byWeight > byCount {
-		t.Fatalf("weight-aware max %.1f worse than count-based %.1f", byWeight, byCount)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // queues independently and uniformly at random and joins the shortest
 // (ties toward the first probe). Registered as the "supermarket"
 // policy so the measured process sits in the same tables as the
-// mean-field Tail/MeanQueue predictions.
+// mean-field Tail/ExpectedMaxLoad predictions.
 //
 // Communication: 2*D messages per task, Theta(n) per step under
 // constant-rate generation — the cost the paper's protocol avoids.
@@ -66,11 +66,7 @@ func init() {
 		Name:    "supermarket",
 		Aliases: []string{"power-of-d"},
 		Summary: "Mitzenmacher's supermarket model, measured: join the shortest of d=2 sampled queues",
-		Caps: policy.Caps{
-			Backends: []string{"sim"},
-			Workload: []string{"sim"},
-			Router:   true,
-		},
+		Caps:    policy.Caps{Backend: "sim", Router: true},
 		Install: func(cfg *sim.Config, p policy.Params) error {
 			g, err := NewPowerOfD(2)
 			if err != nil {

@@ -40,28 +40,6 @@ func Tail(lambda float64, d, k int) float64 {
 	return math.Pow(lambda, exp)
 }
 
-// PMF returns P(queue length = k) = s_k - s_{k+1}.
-func PMF(lambda float64, d, k int) float64 {
-	if k < 0 {
-		return 0
-	}
-	return Tail(lambda, d, k) - Tail(lambda, d, k+1)
-}
-
-// MeanQueue returns the expected queue length sum_{k>=1} s_k
-// (truncated once terms vanish).
-func MeanQueue(lambda float64, d int) float64 {
-	sum := 0.0
-	for k := 1; k < 4096; k++ {
-		t := Tail(lambda, d, k)
-		sum += t
-		if t < 1e-15 {
-			break
-		}
-	}
-	return sum
-}
-
 // ExpectedMaxLoad estimates the maximum queue length among n queues:
 // the smallest k with n * s_k <= 1.
 func ExpectedMaxLoad(lambda float64, d, n int) int {

@@ -48,34 +48,6 @@ func TestTwoChoicesCollapseTail(t *testing.T) {
 	}
 }
 
-func TestPMFSumsToOne(t *testing.T) {
-	for _, d := range []int{1, 2} {
-		sum := 0.0
-		for k := 0; k < 200; k++ {
-			sum += PMF(0.7, d, k)
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("d=%d pmf mass %v", d, sum)
-		}
-	}
-	if PMF(0.5, 2, -1) != 0 {
-		t.Fatal("PMF(-1) != 0")
-	}
-}
-
-func TestMeanQueueM_M_1(t *testing.T) {
-	// d=1: mean = lambda/(1-lambda).
-	lambda := 0.6
-	want := lambda / (1 - lambda)
-	if got := MeanQueue(lambda, 1); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("MeanQueue = %v, want %v", got, want)
-	}
-	// More choices shorten queues.
-	if MeanQueue(lambda, 2) >= MeanQueue(lambda, 1) {
-		t.Fatal("d=2 mean not below d=1")
-	}
-}
-
 func TestExpectedMaxLoadGrowth(t *testing.T) {
 	// d=1 max grows like log n; d=2 like log log n.
 	d1small := ExpectedMaxLoad(0.8, 1, 1<<10)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -88,8 +89,8 @@ func TestRecorderLiveRoundTrip(t *testing.T) {
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	series, err := ReadJSON(&buf)
-	if err != nil {
+	var series Series
+	if err := json.NewDecoder(&buf).Decode(&series); err != nil {
 		t.Fatal(err)
 	}
 	if series.Meta != r.Meta() {

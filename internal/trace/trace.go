@@ -3,7 +3,7 @@
 // message and movement counters sampled at a fixed cadence, written as
 // CSV or JSON for plotting. Because it speaks the unified engine
 // surface, the same Recorder plots the lockstep simulator, the
-// distributed protocol, the node fleet, and the shmem PRAM.
+// distributed protocol and the node fleet.
 package trace
 
 import (
@@ -147,11 +147,4 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(Series{Meta: r.meta, Points: r.points})
-}
-
-// ReadJSON parses a series written by WriteJSON.
-func ReadJSON(rd io.Reader) (Series, error) {
-	var s Series
-	err := json.NewDecoder(rd).Decode(&s)
-	return s, err
 }

@@ -119,8 +119,11 @@ func SplitPlan(p faults.Plan) (link, proc faults.Plan, err error) {
 // caller is holding schedules that belong to a supervisor, and
 // silently ignoring them would report a chaos run that never ran.
 // A zero plan seed falls back to seed, keeping fault traces tied to
-// the run like every simulated backend does.
-func Wrap(inner transport.Transport, plan faults.Plan, seed uint64) (*Trans, error) {
+// the run like every simulated backend does. step is where the fault
+// clock starts: the delivery windows the run has already opened, so a
+// revived endpoint keeps its fleet's clock (0 for a process that
+// shares no clock with anyone).
+func Wrap(inner transport.Transport, plan faults.Plan, seed uint64, step int64) (*Trans, error) {
 	link, proc, err := SplitPlan(plan)
 	if err != nil {
 		return nil, err
@@ -135,7 +138,7 @@ func Wrap(inner transport.Transport, plan faults.Plan, seed uint64) (*Trans, err
 	if err != nil {
 		return nil, err
 	}
-	return &Trans{inner: inner, inj: inj}, nil
+	return &Trans{inner: inner, inj: inj, step: step}, nil
 }
 
 // Inner returns the wrapped transport.
@@ -216,8 +219,8 @@ func (t *Trans) Deliver() {
 // Inbox implements transport.Transport.
 func (t *Trans) Inbox(p int) []transport.Message { return t.inner.Inbox(p) }
 
-// Step implements transport.Transport: the chaos fault clock (count of
-// delivery windows opened through this wrapper).
+// Step implements transport.Transport: the chaos fault clock (Wrap's
+// start step plus the delivery windows opened through this wrapper).
 func (t *Trans) Step() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -116,10 +116,10 @@ func TestSplitPlan(t *testing.T) {
 }
 
 func TestWrapRejectsProcessPlans(t *testing.T) {
-	if _, err := Wrap(newLoop(4), faults.Plan{CrashK: 1, CrashRecover: -1}, 1); err == nil {
+	if _, err := Wrap(newLoop(4), faults.Plan{CrashK: 1, CrashRecover: -1}, 1, 0); err == nil {
 		t.Fatal("Wrap accepted a crash schedule; processes die by SIGKILL, not by the transport")
 	}
-	if _, err := Wrap(newLoop(4), faults.Plan{ChurnJoin: 1, ChurnPeriod: 10}, 1); err == nil {
+	if _, err := Wrap(newLoop(4), faults.Plan{ChurnJoin: 1, ChurnPeriod: 10}, 1, 0); err == nil {
 		t.Fatal("Wrap accepted a churn schedule")
 	}
 }
@@ -127,7 +127,7 @@ func TestWrapRejectsProcessPlans(t *testing.T) {
 func TestDeterministicFates(t *testing.T) {
 	run := func() (Counters, int64) {
 		inner := newLoop(8)
-		tr, err := Wrap(inner, faults.Plan{Drop: 0.3, Dup: 0.2, Delay: 0.3, MaxDelay: 2, Seed: 7}, 1)
+		tr, err := Wrap(inner, faults.Plan{Drop: 0.3, Dup: 0.2, Delay: 0.3, MaxDelay: 2, Seed: 7}, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestDeterministicFates(t *testing.T) {
 
 func TestPartitionCutsAndHeals(t *testing.T) {
 	inner := newLoop(4)
-	tr, err := Wrap(inner, faults.Plan{PartitionGroups: 2, PartitionUntil: 10, Seed: 3}, 1)
+	tr, err := Wrap(inner, faults.Plan{PartitionGroups: 2, PartitionUntil: 10, Seed: 3}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestPartitionCutsAndHeals(t *testing.T) {
 
 func TestDelayHoldsAndReleases(t *testing.T) {
 	inner := newLoop(2)
-	tr, err := Wrap(inner, faults.Plan{Delay: 1.0, MaxDelay: 3, Seed: 5}, 1)
+	tr, err := Wrap(inner, faults.Plan{Delay: 1.0, MaxDelay: 3, Seed: 5}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestDelayHoldsAndReleases(t *testing.T) {
 
 func TestStatsFoldInjectedFates(t *testing.T) {
 	inner := newLoop(4)
-	tr, err := Wrap(inner, faults.Plan{Drop: 0.5, Seed: 11}, 1)
+	tr, err := Wrap(inner, faults.Plan{Drop: 0.5, Seed: 11}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

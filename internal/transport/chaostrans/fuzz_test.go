@@ -23,7 +23,7 @@ func FuzzChaosFrame(f *testing.F) {
 			t.Skip()
 		}
 		inner := newLoop(8)
-		tr, err := Wrap(inner, plan, uint64(seed))
+		tr, err := Wrap(inner, plan, uint64(seed), 0)
 		if err != nil {
 			// Process-level or rejected plan features: declining is the
 			// contract, crashing is not.

@@ -13,7 +13,6 @@ import (
 
 	"plb/internal/task"
 	"plb/internal/transport"
-	"plb/internal/wire"
 )
 
 // unixPair builds a two-endpoint UDS fleet like pair, with a queue deep
@@ -142,7 +141,11 @@ func stalledClient(t *testing.T, srv *Trans) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	if err := wire.WriteFrame(c, transport.Message{From: -1, To: 0, Kind: transport.KindHeartbeat}); err != nil {
+	frame, err := appendFrame(nil, transport.Message{From: -1, To: 0, Kind: transport.KindHeartbeat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(frame); err != nil {
 		t.Fatal(err)
 	}
 	recv(t, srv, 0, 1, 5*time.Second)

@@ -43,10 +43,8 @@
 // frame teaches the receiving transport to route responses for its
 // From id back over the same connection.
 //
-// socktrans deliberately does NOT implement transport.FaultHooks:
-// those hooks reach inside the in-memory network's delivery queues,
-// which real sockets do not have. Fault injection for socket fleets
-// happens one layer up — internal/transport/chaostrans wraps an
+// socktrans injects no faults itself. Fault injection for socket
+// fleets happens one layer up — internal/transport/chaostrans wraps an
 // endpoint and executes a fault plan at the frame boundary, and
 // process-level chaos (kill, restart) is a supervisor's job.
 package socktrans

@@ -1,27 +1,26 @@
-// Package transport defines the message vocabulary and the transport
-// contract the distributed protocol (internal/proto, internal/node)
-// speaks. The protocol core addresses peers by processor id and calls
-// Send/Deliver/Inbox; *which* medium carries the bytes — the in-memory
-// synchronous network (internal/netsim) or real sockets
-// (internal/transport/socktrans) — is an implementation of the
-// Transport interface the core never names.
+// Package transport defines the message vocabulary the distributed
+// protocol (internal/proto, internal/node) speaks and the transport
+// contract the node runtime runs on. A node addresses peers by
+// processor id and calls Send/Deliver/Inbox; *which* medium carries
+// the bytes — real sockets (internal/transport/socktrans) or the
+// fleet's in-memory bus — is an implementation of the Transport
+// interface the node never names. The lockstep protocol (internal/proto)
+// runs on the in-memory synchronous network (internal/netsim) directly.
 //
 // The split keeps three layers independent:
 //
-//	protocol core  (proto, node)   — state machines over Message values
-//	transport      (this contract) — netsim | socktrans
+//	protocol core  (node)          — state machines over Message values
+//	transport      (this contract) — socktrans | in-memory bus, optionally under chaostrans
 //	wire           (internal/wire) — binary codec socket transports frame with
 //
-// Fault injection is a capability, not part of the contract: the
-// in-memory transport implements FaultHooks and simulated fault plans
-// attach there; socket transports decline fault plans loudly — on a
-// real network, real packet loss is the injector.
+// Fault injection is not part of the contract: the chaostrans
+// middleware wraps any Transport and executes a plan's link faults at
+// the frame boundary.
 package transport
 
 import (
 	"fmt"
 
-	"plb/internal/faults"
 	"plb/internal/task"
 )
 
@@ -174,31 +173,9 @@ type Transport interface {
 	Close() error
 }
 
-// FaultHooks is the optional capability simulated fault plans need.
-// Only the in-memory transport implements it; asking a socket
-// transport for it fails the type assertion, which is how fault plans
-// are declined — real transports get real faults.
-type FaultHooks interface {
-	// SetFaults installs a fault injector consulted per send/delivery.
-	SetFaults(inj *faults.Injector)
-	// SetGone installs a membership oracle: deliveries to processors
-	// outside the system are discarded.
-	SetGone(fn func(p int32, step int64) bool)
-	// InjectLoss drops every subsequent send with probability p.
-	InjectLoss(p float64, seed uint64)
-}
-
 // KindCounter is an optional capability: transports that account
 // traffic per message kind expose the counts for verbose/fault output.
 type KindCounter interface {
 	// SentByKind returns cumulative send counts indexed by Kind.
 	SentByKind() [KindMax]int64
 }
-
-// Mem builds the in-memory transport for an n-processor fleet. It is
-// a registration hook, not a constructor: internal/netsim provides the
-// implementation and internal/sim registers it at init time, so any
-// program that can host a proto balancer (they only run on
-// sim.Machine) has it installed without the protocol core importing
-// the implementation.
-var Mem func(n int) (Transport, error)

@@ -189,17 +189,6 @@ func readVarint32(b []byte, what string) (int32, []byte, error) {
 	return int32(v), b[n:], nil
 }
 
-// WriteFrame writes m as one length-prefixed frame.
-func WriteFrame(w io.Writer, m transport.Message) error {
-	body, err := AppendMessage(make([]byte, 4, 64), m)
-	if err != nil {
-		return err
-	}
-	binary.BigEndian.PutUint32(body[:4], uint32(len(body)-4))
-	_, err = w.Write(body)
-	return err
-}
-
 // ReadFrame reads one length-prefixed frame and decodes it. max bounds
 // the body length (0 means DefaultMaxFrame); an oversized prefix is an
 // error before any allocation.

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -92,7 +94,7 @@ func TestFraming(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	for _, m := range msgs {
-		if err := WriteFrame(&buf, m); err != nil {
+		if err := writeFrame(&buf, m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,13 +109,25 @@ func TestFraming(t *testing.T) {
 	}
 	// Truncated stream: half a frame.
 	var half bytes.Buffer
-	if err := WriteFrame(&half, msgs[0]); err != nil {
+	if err := writeFrame(&half, msgs[0]); err != nil {
 		t.Fatal(err)
 	}
 	trunc := half.Bytes()[:half.Len()-3]
 	if _, err := ReadFrame(bytes.NewReader(trunc), 0); err == nil {
 		t.Fatal("truncated frame decoded")
 	}
+}
+
+// writeFrame writes m as one length-prefixed frame, the framing
+// ReadFrame expects.
+func writeFrame(w io.Writer, m transport.Message) error {
+	body, err := AppendMessage(make([]byte, 4, 64), m)
+	if err != nil {
+		return err
+	}
+	binary.BigEndian.PutUint32(body[:4], uint32(len(body)-4))
+	_, err = w.Write(body)
+	return err
 }
 
 // TestFrameLimit: a length prefix beyond the reader's bound fails

@@ -36,7 +36,6 @@ import (
 	"plb/internal/gen"
 	"plb/internal/policy"
 	"plb/internal/proto"
-	"plb/internal/shmem"
 	"plb/internal/sim"
 	"plb/internal/stats"
 	"plb/internal/xrand"
@@ -231,8 +230,9 @@ func NewPhaselessBalancer(n int, seed uint64) (Balancer, error) {
 }
 
 // Unified engine surface: one Runner abstraction over every backend
-// (see docs/ENGINE.md). *Machine and *ShmemRunner implement Runner,
-// so one harness drives them all through Drive.
+// (see docs/ENGINE.md). *Machine implements Runner, and so does the
+// node fleet behind the sockets backend, so one harness drives them
+// all through Drive.
 
 // Runner is a steppable backend with the unified observable surface.
 type Runner = engine.Runner
@@ -262,17 +262,3 @@ type DriveReport = engine.Report
 // the sampling cadence, notifying observers and honoring the stop
 // condition.
 func Drive(r Runner, cfg DriveConfig) (DriveReport, error) { return engine.Drive(r, cfg) }
-
-// ShmemRunner drives the MSS95 shared-memory simulation — the
-// collision protocol's historical home — as a Runner.
-type ShmemRunner = shmem.Runner
-
-// ShmemRunnerConfig parameterizes NewShmemRunner.
-type ShmemRunnerConfig = shmem.RunnerConfig
-
-// ShmemConfig parameterizes the simulated memory itself.
-type ShmemConfig = shmem.Config
-
-// NewShmemRunner builds the shared-memory simulation as a steppable
-// Runner issuing a synthetic PRAM access stream.
-func NewShmemRunner(cfg ShmemRunnerConfig) (*ShmemRunner, error) { return shmem.NewRunner(cfg) }
