@@ -6,7 +6,6 @@ import (
 
 	"plb/internal/collision"
 	"plb/internal/engine"
-	"plb/internal/par"
 	"plb/internal/sim"
 	"plb/internal/xrand"
 )
@@ -14,34 +13,34 @@ import (
 // Balancer is the paper's phase-based threshold balancing algorithm.
 // It implements sim.Balancer. Construct with New.
 //
-// The phase hot path is data-parallel and allocation-free in steady
-// state: classification runs as one sharded pass over the load
-// snapshot (per-shard heavy lists concatenated in shard order, so the
-// result is identical for every worker count), the collision games run
-// on the sharded collision kernel, and every per-phase buffer lives in
-// a reusable arena. See docs/PERFORMANCE.md for the determinism
-// argument.
+// A phase costs O(participants), not O(n), and allocates nothing in
+// steady state: the machine hands over the heavy set in ascending id
+// order (HeavyIDs), per-processor phase state resets lazily on first
+// use (touch), the collision games run on the sharded collision
+// kernel, and every per-phase buffer lives in a reusable arena. See
+// docs/PERFORMANCE.md for the determinism argument.
 type Balancer struct {
 	cfg     Config
 	n       int
 	workers int
 	rng     *xrand.Stream
 
-	// Per-phase scratch, reused across phases.
+	// Per-phase scratch, reused across phases. An entry is valid in
+	// the current phase only once touch has stamped it with curEpoch.
 	lightAt  []bool  // light at phase start
 	assigned []bool  // reserved as balancing partner this phase
 	inTree   []bool  // currently an active searcher
 	boss     []int32 // tree root of each participating processor
 	partner  []int32 // boss -> chosen light partner (-1 none)
 	matched  []bool  // boss -> already matched this phase
+	epoch    []uint32
+	curEpoch uint32
 
-	// Phase arena: classification, searcher and settle buffers plus
-	// the collision kernel's scratch, all reused so steady-state
-	// phases allocate nothing.
-	heavyShard  [][]int32 // per-shard heavy lists
-	lightShard  []int64   // per-shard light counts
-	heavies     []int32   // concatenated heavy list, shard order
-	searchA     []int32   // searcher ping-pong buffers
+	// Phase arena: heavy, searcher and settle buffers plus the
+	// collision kernel's scratch, all reused so steady-state phases
+	// allocate nothing.
+	heavies     []int32 // the phase's heavy set, ascending ids
+	searchA     []int32 // searcher ping-pong buffers
 	searchB     []int32
 	newPartners []int32 // roots partnered this round, settle queue
 	col         collision.Scratch
@@ -54,15 +53,6 @@ type Balancer struct {
 	// Pending streamed transfers (StreamTransfers mode): each entry
 	// moves perStep tasks from src to dst every step until drained.
 	streams []streamXfer
-
-	// Sparse-machine mode (set at Init when the machine is event-
-	// driven): phases read the machine's incremental heavy index
-	// instead of sweeping all n loads, and the per-phase arrays above
-	// reset lazily — touch() stamps an entry with the phase epoch on
-	// first use, so a phase costs O(participants), not O(n).
-	sparse   bool
-	epoch    []uint32
-	curEpoch uint32
 
 	// Aggregated statistics.
 	totalPhases   int64
@@ -118,24 +108,18 @@ func (b *Balancer) Init(m *sim.Machine) {
 	b.boss = make([]int32, b.n)
 	b.partner = make([]int32, b.n)
 	b.matched = make([]bool, b.n)
-	shards := par.NumShards(b.n, b.workers)
-	b.heavyShard = make([][]int32, shards)
-	b.lightShard = make([]int64, shards)
+	b.epoch = make([]uint32, b.n)
+	b.curEpoch = 0
 	b.heavies = b.heavies[:0]
 	b.newPartners = b.newPartners[:0]
 	if b.cfg.PreRound {
 		b.preHits = make([]int32, b.n)
 	}
 	b.streams = nil
-	b.sparse = m.SparseActive()
-	if b.sparse {
-		if b.cfg.ByWeight {
-			panic("core: ByWeight balancing cannot run on a sparse machine (weighted service needs task identity)")
-		}
-		m.ConfigureHeavyIndex(b.cfg.HeavyThreshold)
-		b.epoch = make([]uint32, b.n)
-		b.curEpoch = 0
+	if b.cfg.ByWeight && m.SparseActive() {
+		panic("core: ByWeight balancing cannot run on a sparse machine (weighted service needs task identity)")
 	}
+	m.ConfigureHeavyIndex(b.cfg.HeavyThreshold, b.cfg.ByWeight)
 }
 
 // streamXfer is one in-flight streamed block transfer.
@@ -210,99 +194,14 @@ func (b *Balancer) Totals() (phases, heavy, matched, requests int64) {
 	return b.totalPhases, b.totalHeavy, b.totalMatched, b.totalRequests
 }
 
+// runPhase runs one phase: classification (Section 3) by task count,
+// or by remaining service weight under ByWeight, then the pre-round and
+// the tree growth. The machine's heavy set is the phase's roots, and
+// light classification happens lazily in touch. The light count is
+// taken only for an OnPhase observer, the one reader of PhaseStats.
 func (b *Balancer) runPhase(m *sim.Machine) {
-	if b.sparse {
-		b.runPhaseSparse(m)
-		return
-	}
 	cfg := &b.cfg
-	var snap []int32
-	var wsnap []int64
-	if cfg.ByWeight {
-		wsnap = m.SnapshotWeights()
-	} else {
-		snap = m.Snapshot()
-	}
 	ps := PhaseStats{Start: m.Now()}
-
-	// Phase-start classification (Section 3), by task count or by
-	// remaining service weight, fused into one sharded pass over the
-	// snapshot. Per-shard heavy lists concatenate in shard order —
-	// shards partition [0, n) in ascending contiguous ranges, so the
-	// heavy list comes out in processor-id order for every worker
-	// count, exactly as the sequential scan produced it.
-	shards := par.NumShards(b.n, b.workers)
-	par.Ranges(b.n, b.workers, func(s, lo, hi int) {
-		heavy := b.heavyShard[s][:0]
-		var light int64
-		for p := lo; p < hi; p++ {
-			var l int
-			if cfg.ByWeight {
-				l = int(wsnap[p])
-			} else {
-				l = int(snap[p])
-			}
-			isLight := l <= cfg.LightThreshold
-			b.lightAt[p] = isLight
-			b.assigned[p] = false
-			b.inTree[p] = false
-			b.matched[p] = false
-			b.partner[p] = -1
-			if l >= cfg.HeavyThreshold {
-				heavy = append(heavy, int32(p))
-			}
-			if isLight {
-				light++
-			}
-		}
-		b.heavyShard[s] = heavy
-		b.lightShard[s] = light
-	})
-	heavies := b.heavies[:0]
-	for s := 0; s < shards; s++ {
-		heavies = append(heavies, b.heavyShard[s]...)
-		ps.Light += int(b.lightShard[s])
-	}
-	b.heavies = heavies
-	ps.Heavy = len(heavies)
-
-	if len(heavies) > 0 {
-		searchers := append(b.searchA[:0], heavies...)
-		b.searchA = searchers
-		if cfg.PreRound {
-			searchers = b.preRound(m, searchers, &ps)
-		}
-		for _, s := range searchers {
-			b.boss[s] = s
-			b.inTree[s] = true
-		}
-		b.growTrees(m, searchers, &ps)
-	}
-
-	m.AddMessages(ps.Messages)
-
-	b.totalPhases++
-	b.totalHeavy += int64(ps.Heavy)
-	b.totalMatched += int64(ps.Matched)
-	b.totalRequests += ps.Requests
-	b.sumRounds += int64(ps.Rounds)
-	if cfg.OnPhase != nil {
-		cfg.OnPhase(ps)
-	}
-}
-
-// runPhaseSparse is the event-driven phase body: identical decisions
-// to runPhase, O(participants) work. The machine's heavy index
-// replaces the sharded classification sweep (same set, same ascending
-// id order), and the per-processor phase arrays reset lazily through
-// touch instead of being cleared for all n. Light counting is skipped
-// (PhaseStats.Light = -1) unless an OnPhase observer needs it, because
-// an exact incremental light count would require rechecking every
-// processor hovering at the light boundary — the observer case pays
-// one full sync instead.
-func (b *Balancer) runPhaseSparse(m *sim.Machine) {
-	cfg := &b.cfg
-	ps := PhaseStats{Start: m.Now(), Light: -1}
 	b.curEpoch++
 	if b.curEpoch == 0 { // uint32 wrap: restore the all-stale invariant
 		clear(b.epoch)
@@ -312,13 +211,7 @@ func (b *Balancer) runPhaseSparse(m *sim.Machine) {
 	b.heavies = heavies
 	ps.Heavy = len(heavies)
 	if cfg.OnPhase != nil {
-		light := 0
-		for _, l := range m.Snapshot() {
-			if int(l) <= cfg.LightThreshold {
-				light++
-			}
-		}
-		ps.Light = light
+		ps.Light = b.countLight(m)
 	}
 	for _, h := range heavies {
 		b.touch(m, h)
@@ -349,23 +242,45 @@ func (b *Balancer) runPhaseSparse(m *sim.Machine) {
 	}
 }
 
+// countLight counts the processors light at phase start.
+func (b *Balancer) countLight(m *sim.Machine) int {
+	light := 0
+	if b.cfg.ByWeight {
+		for _, w := range m.SnapshotWeights() {
+			if w <= int64(b.cfg.LightThreshold) {
+				light++
+			}
+		}
+		return light
+	}
+	for _, l := range m.Snapshot() {
+		if int(l) <= b.cfg.LightThreshold {
+			light++
+		}
+	}
+	return light
+}
+
 // touch lazily initializes processor p's per-phase state on its first
-// appearance in the current sparse phase: light classification from
-// the live (synced) load plus the usual flag resets. A no-op on dense
-// machines (runPhase resets all n entries up front) and on already-
-// touched entries.
+// appearance in the current phase: light classification from the live
+// load (or weight) plus the usual flag resets. A no-op on an entry
+// already touched this phase.
 //
-// Reading the live load here is equivalent to the dense phase-start
-// snapshot: a processor's load only changes mid-phase by receiving or
-// sending a transfer, and every transfer endpoint is touched before
-// its first transfer (roots at phase start, partners before they are
-// assigned) — so the load touch sees is always the phase-start value.
+// Reading the live load here is equivalent to a phase-start snapshot:
+// a processor's load only changes mid-phase by receiving or sending a
+// transfer, and every transfer endpoint is touched before its first
+// transfer (roots at phase start, partners before they are assigned) —
+// so the load touch sees is always the phase-start value.
 func (b *Balancer) touch(m *sim.Machine, p int32) {
-	if !b.sparse || b.epoch[p] == b.curEpoch {
+	if b.epoch[p] == b.curEpoch {
 		return
 	}
 	b.epoch[p] = b.curEpoch
-	b.lightAt[p] = m.Load(int(p)) <= b.cfg.LightThreshold
+	l := int64(m.Load(int(p)))
+	if b.cfg.ByWeight {
+		l = m.WeightedLoad(int(p))
+	}
+	b.lightAt[p] = l <= int64(b.cfg.LightThreshold)
 	b.assigned[p] = false
 	b.inTree[p] = false
 	b.matched[p] = false

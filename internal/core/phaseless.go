@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"plb/internal/par"
 	"plb/internal/sim"
 	"plb/internal/xrand"
 )
@@ -42,22 +41,17 @@ type Phaseless struct {
 	Seed uint64
 
 	n        int
-	workers  int
-	sparse   bool // event-driven machine: scan the heavy index, not all n
 	rng      *xrand.Stream
 	nextTry  []int64
 	probeCnt []int32 // probes received this step
 	reserved []bool  // already promised a block this step
 	touched  []int32
 
-	// Reused per-step scratch: the initiator scan is sharded (per-shard
-	// lists concatenate in shard order, i.e. ascending processor id,
-	// identical to the sequential scan) and the probe rows live in one
-	// flat buffer, so steady-state steps allocate nothing.
-	initShard [][]int32
-	inits     []int32
-	probes    []int32 // flat len(inits) x Probes rows
-	probeBuf  []int
+	// Reused per-step scratch: the initiator list and the probe rows
+	// (one flat buffer), so steady-state steps allocate nothing.
+	inits    []int32
+	probes   []int32 // flat len(inits) x Probes rows
+	probeBuf []int
 }
 
 var _ sim.Balancer = (*Phaseless)(nil)
@@ -109,54 +103,26 @@ func (b *Phaseless) Name() string {
 // Init implements sim.Balancer.
 func (b *Phaseless) Init(m *sim.Machine) {
 	b.n = m.N()
-	b.workers = m.Workers()
 	b.rng = xrand.New(b.Seed ^ 0x9a5e)
 	b.nextTry = make([]int64, b.n)
 	b.probeCnt = make([]int32, b.n)
 	b.reserved = make([]bool, b.n)
 	b.touched = b.touched[:0]
-	b.initShard = make([][]int32, par.NumShards(b.n, b.workers))
 	b.probeBuf = make([]int, b.Probes)
-	b.sparse = m.SparseActive()
-	if b.sparse {
-		m.ConfigureHeavyIndex(b.HeavyThreshold)
-	}
+	m.ConfigureHeavyIndex(b.HeavyThreshold, false)
 }
 
 // Step implements sim.Balancer.
 func (b *Phaseless) Step(m *sim.Machine) {
 	now := m.Now()
+	// The machine's heavy set is exactly the load >= threshold set in
+	// ascending id order. Copied because the transfers below mutate it.
 	initiators := b.inits[:0]
-	if b.sparse {
-		// The machine's heavy index is exactly the load>=threshold set
-		// in ascending id order — same initiators as the dense scan,
-		// O(heavy) instead of O(n). Copied because the transfers below
-		// mutate the index while we iterate.
-		for _, p := range m.HeavyIDs() {
-			if now < b.nextTry[p] {
-				continue
-			}
-			initiators = append(initiators, p)
+	for _, p := range m.HeavyIDs() {
+		if now < b.nextTry[p] {
+			continue
 		}
-	} else {
-		// Collect this step's initiators: a sharded read-only scan whose
-		// per-shard lists concatenate in ascending processor order.
-		shards := par.NumShards(b.n, b.workers)
-		par.Ranges(b.n, b.workers, func(s, lo, hi int) {
-			list := b.initShard[s][:0]
-			for p := lo; p < hi; p++ {
-				if now < b.nextTry[p] {
-					continue
-				}
-				if m.Load(p) >= b.HeavyThreshold {
-					list = append(list, int32(p))
-				}
-			}
-			b.initShard[s] = list
-		})
-		for s := 0; s < shards; s++ {
-			initiators = append(initiators, b.initShard[s]...)
-		}
+		initiators = append(initiators, p)
 	}
 	b.inits = initiators
 	if len(initiators) == 0 {

@@ -115,9 +115,11 @@ type Runner interface {
 	Now() int64
 	// Steps advances the backend by k time steps (k <= 0 is a no-op).
 	Steps(k int)
-	// Loads returns the per-processor load snapshot. The slice is
-	// owned by the runner and valid until the next Steps or Loads
-	// call; callers must not modify it.
+	// Loads returns the per-processor load vector. The slice is owned
+	// by the runner and callers must not modify it. A lockstep machine
+	// returns its live vector, which follows every load change; a
+	// fleet refills a buffer that holds until the next Steps or Loads
+	// call. Copy it to keep a past state.
 	Loads() []int32
 	// Collect returns the unified metrics at the current step.
 	Collect() Metrics

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"slices"
 
 	"plb/internal/xrand"
 )
@@ -12,10 +13,13 @@ import (
 type Adversary interface {
 	// Name identifies the adversary in experiment tables.
 	Name() string
-	// Plan fills gens[proc] with the number of tasks each processor
-	// should generate this step. loads is read-only. gens is zeroed by
-	// the caller before Plan runs.
-	Plan(now int64, loads []int32, gens []int32, r *xrand.Stream)
+	// Plan adds to gens[proc] the number of tasks each processor
+	// should generate this step, appends to wrote the id of every entry
+	// it set (in any order, repeats allowed) and returns the extended
+	// slice. An entry Plan sets without reporting it is lost: the
+	// caller clamps and later zeroes the reported entries only. loads
+	// is read-only; gens is all zero when Plan runs.
+	Plan(now int64, loads []int32, gens []int32, r *xrand.Stream, wrote []int32) []int32
 }
 
 // Adversarial is the paper's fourth model: an adversary drives
@@ -39,10 +43,11 @@ type Adversarial struct {
 	// SystemBound is the upper bound B on total system load.
 	SystemBound int64
 
-	r        *xrand.Stream
-	gens     []int32
-	usedWin  []int32 // generation used by each processor in the current window
-	totalEst int64   // running estimate of total system load
+	r       *xrand.Stream
+	gens    []int32
+	planned []int32 // ascending ids of this step's plan (gens is zero elsewhere)
+	usedWin []int32 // generation used by each processor in the current window
+	winIDs  []int32 // ids planned in the current window (usedWin is zero elsewhere)
 	// ClampedWindow and ClampedSystem count how many requested tasks
 	// were denied by each constraint (observability for tests and
 	// experiments).
@@ -75,31 +80,43 @@ func (a *Adversarial) Name() string {
 		a.Adv.Name(), a.WindowT, a.PerWindowBudget, a.SystemBound)
 }
 
-// BeginStep implements StepAware: runs the adversary's plan and clamps
-// it to the model's constraints.
-func (a *Adversarial) BeginStep(now int64, loads []int32) {
+// BeginStep implements StepAware: runs the adversary's plan, clamps it
+// to the model's constraints and returns the planned ids. Only those
+// ids are zeroed, reset and clamped, so a step costs the plan's size
+// (plus one pass over loads for the system total when anything is
+// planned), not n.
+func (a *Adversarial) BeginStep(now int64, loads []int32) []int32 {
 	if len(a.gens) != len(loads) {
 		a.gens = make([]int32, len(loads))
 		a.usedWin = make([]int32, len(loads))
+		a.planned, a.winIDs = a.planned[:0], a.winIDs[:0]
 	}
 	if now%int64(a.WindowT) == 0 {
-		for i := range a.usedWin {
-			a.usedWin[i] = 0
+		for _, p := range a.winIDs {
+			a.usedWin[p] = 0
 		}
+		a.winIDs = a.winIDs[:0]
 	}
-	for i := range a.gens {
-		a.gens[i] = 0
+	for _, p := range a.planned {
+		a.gens[p] = 0
 	}
-	a.Adv.Plan(now, loads, a.gens, a.r)
+	planned := a.Adv.Plan(now, loads, a.gens, a.r, a.planned[:0])
+	slices.Sort(planned)
+	planned = slices.Compact(planned)
+	a.planned = planned
+	if len(planned) == 0 {
+		return planned
+	}
 
 	// Current total system load (authoritative from loads).
 	var total int64
 	for _, l := range loads {
 		total += int64(l)
 	}
-	a.totalEst = total
 
-	for i := range a.gens {
+	// Clamp in ascending id order; an unplanned processor would
+	// request nothing and change nothing here.
+	for _, i := range planned {
 		g := a.gens[i]
 		if g < 0 {
 			g = 0
@@ -114,8 +131,8 @@ func (a *Adversarial) BeginStep(now int64, loads []int32) {
 		}
 		// Global bound. Consumption this step frees at most len(loads)
 		// slots, but we enforce conservatively against the bound as-is.
-		if a.totalEst+int64(g) > a.SystemBound {
-			allowed := a.SystemBound - a.totalEst
+		if total+int64(g) > a.SystemBound {
+			allowed := a.SystemBound - total
 			if allowed < 0 {
 				allowed = 0
 			}
@@ -123,9 +140,11 @@ func (a *Adversarial) BeginStep(now int64, loads []int32) {
 			g = int32(allowed)
 		}
 		a.usedWin[i] += g
-		a.totalEst += int64(g)
+		total += int64(g)
 		a.gens[i] = g
 	}
+	a.winIDs = append(a.winIDs, planned...)
+	return planned
 }
 
 // Generate implements Model: returns the planned, clamped generation.
@@ -156,26 +175,28 @@ func (b Burst) Name() string {
 }
 
 // Plan implements Adversary.
-func (b Burst) Plan(now int64, loads []int32, gens []int32, r *xrand.Stream) {
+func (b Burst) Plan(now int64, loads []int32, gens []int32, r *xrand.Stream, wrote []int32) []int32 {
 	w := b.Window
 	if w < 1 {
 		w = 1
 	}
 	if now%int64(w) != 0 {
-		return
+		return wrote
 	}
 	k := b.Targets
 	if k > len(loads) {
 		k = len(loads)
 	}
 	if k <= 0 {
-		return
+		return wrote
 	}
 	targets := make([]int, k)
 	r.SampleDistinct(targets, k, len(loads), -1)
 	for _, t := range targets {
 		gens[t] = int32(b.Amount)
+		wrote = append(wrote, int32(t))
 	}
+	return wrote
 }
 
 // Tree is an adversary modeling tree-structured computation: each step,
@@ -202,16 +223,20 @@ func (t Tree) Name() string {
 }
 
 // Plan implements Adversary.
-func (t Tree) Plan(_ int64, loads []int32, gens []int32, r *xrand.Stream) {
+func (t Tree) Plan(_ int64, loads []int32, gens []int32, r *xrand.Stream, wrote []int32) []int32 {
 	for i, l := range loads {
 		if l > 0 && r.Bernoulli(t.Spawn) {
 			gens[i] += int32(t.Branch)
+			wrote = append(wrote, int32(i))
 		}
 	}
 	roots := r.Poisson(t.Roots)
 	for j := 0; j < roots; j++ {
-		gens[r.Intn(len(loads))]++
+		i := r.Intn(len(loads))
+		gens[i]++
+		wrote = append(wrote, int32(i))
 	}
+	return wrote
 }
 
 // Hotspot is an adversary that aims all generation at one processor,
@@ -233,7 +258,7 @@ func (h *Hotspot) Name() string {
 }
 
 // Plan implements Adversary.
-func (h *Hotspot) Plan(now int64, loads []int32, gens []int32, r *xrand.Stream) {
+func (h *Hotspot) Plan(now int64, loads []int32, gens []int32, r *xrand.Stream, wrote []int32) []int32 {
 	w := h.Window
 	if w < 1 {
 		w = 1
@@ -243,4 +268,5 @@ func (h *Hotspot) Plan(now int64, loads []int32, gens []int32, r *xrand.Stream) 
 		h.picked = true
 	}
 	gens[h.current] += int32(h.Rate)
+	return append(wrote, int32(h.current))
 }

@@ -35,7 +35,8 @@ import (
 // distinct proc arguments (the simulator shards processors over
 // goroutines); any global coordination must happen in BeginStep, which
 // the simulator calls sequentially between steps on models that
-// implement StepAware.
+// implement StepAware (and which then also bounds which processors the
+// simulator visits).
 type Model interface {
 	// Name identifies the model in experiment tables.
 	Name() string
@@ -48,11 +49,20 @@ type Model interface {
 	WantConsume(proc int, r *xrand.Stream, now int64) int
 }
 
-// StepAware is implemented by models that need a sequential global
-// hook before each step (e.g. adversaries planning against observed
-// loads). loads is read-only and indexed by processor.
+// StepAware is implemented by models that plan generation centrally
+// before each step (the adversarial model). The simulator calls
+// BeginStep sequentially before the step's generation and consumption;
+// loads is read-only and indexed by processor.
+//
+// The planning contract: BeginStep returns, in ascending order and
+// without repeats, every processor whose Generate may return non-zero
+// at step now; Generate returns that plan, and neither Generate nor
+// WantConsume draws from the processor's stream. A processor with an
+// empty queue and no planned generation therefore changes nothing in
+// the step, and the dense simulator skips it. The returned slice is
+// owned by the model and valid until the next BeginStep.
 type StepAware interface {
-	BeginStep(now int64, loads []int32)
+	BeginStep(now int64, loads []int32) []int32
 }
 
 // Bounded is implemented by models whose per-step generation has a

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -268,7 +269,15 @@ func TestBurstPlan(t *testing.T) {
 	r := xrand.New(11)
 	loads := make([]int32, 16)
 	gens := make([]int32, 16)
-	b.Plan(0, loads, gens, r)
+	wrote := b.Plan(0, loads, gens, r, nil)
+	if len(wrote) != 3 {
+		t.Fatalf("burst reported %v, want 3 targets", wrote)
+	}
+	for _, p := range wrote {
+		if gens[p] != 7 {
+			t.Fatalf("burst reported %d but set gens[%d] = %d", p, p, gens[p])
+		}
+	}
 	hit := 0
 	for _, g := range gens {
 		if g == 7 {
@@ -284,7 +293,9 @@ func TestBurstPlan(t *testing.T) {
 	for i := range gens {
 		gens[i] = 0
 	}
-	b.Plan(2, loads, gens, r)
+	if wrote := b.Plan(2, loads, gens, r, nil); len(wrote) != 0 {
+		t.Fatalf("off-window burst reported %v", wrote)
+	}
 	for _, g := range gens {
 		if g != 0 {
 			t.Fatal("burst fired off-window")
@@ -297,7 +308,7 @@ func TestBurstTargetsClamped(t *testing.T) {
 	r := xrand.New(13)
 	loads := make([]int32, 4)
 	gens := make([]int32, 4)
-	b.Plan(0, loads, gens, r) // must not panic with Targets > n
+	b.Plan(0, loads, gens, r, nil) // must not panic with Targets > n
 	for _, g := range gens {
 		if g != 1 {
 			t.Fatal("clamped burst should hit everyone")
@@ -310,7 +321,9 @@ func TestTreePlan(t *testing.T) {
 	r := xrand.New(17)
 	loads := []int32{0, 3, 0, 1}
 	gens := make([]int32, 4)
-	tr.Plan(0, loads, gens, r)
+	if wrote := tr.Plan(0, loads, gens, r, nil); !slices.Equal(wrote, []int32{1, 3}) {
+		t.Errorf("tree reported %v, want [1 3]", wrote)
+	}
 	if gens[0] != 0 || gens[2] != 0 {
 		t.Error("idle processors spawned children")
 	}
@@ -330,7 +343,7 @@ func TestTreeRoots(t *testing.T) {
 		for j := range gens {
 			gens[j] = 0
 		}
-		tr.Plan(i, loads, gens, r)
+		tr.Plan(i, loads, gens, r, nil)
 		for _, g := range gens {
 			total += g
 		}
@@ -351,7 +364,10 @@ func TestHotspotMoves(t *testing.T) {
 		for i := range gens {
 			gens[i] = 0
 		}
-		h.Plan(now, loads, gens, r)
+		wrote := h.Plan(now, loads, gens, r, nil)
+		if len(wrote) != 1 || gens[wrote[0]] != 3 {
+			t.Fatalf("hotspot reported %v at step %d", wrote, now)
+		}
 		count := 0
 		for i, g := range gens {
 			if g == 3 {
@@ -370,6 +386,99 @@ func TestHotspotMoves(t *testing.T) {
 	}
 }
 
+// TestAdversarialPlanContract checks BeginStep's planning contract
+// against a reference that zeroes, resets and clamps all n processors
+// every step (the model's definition): the returned ids are ascending
+// and distinct, every processor outside them generates nothing, and
+// generation and clamp counters match the reference exactly.
+func TestAdversarialPlanContract(t *testing.T) {
+	const n = 64
+	advs := map[string]func() Adversary{
+		"burst":   func() Adversary { return Burst{Targets: 9, Amount: 7, Window: 3} },
+		"tree":    func() Adversary { return Tree{Spawn: 0.4, Branch: 3, Roots: 2} },
+		"hotspot": func() Adversary { return &Hotspot{Rate: 5, Window: 4} },
+	}
+	for name, mk := range advs {
+		t.Run(name, func(t *testing.T) {
+			a, err := NewAdversarial(mk(), 5, 12, 300, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := &refAdversarial{adv: mk(), windowT: 5, budget: 12, bound: 300, r: xrand.New(3)}
+			loads := make([]int32, n)
+			lr := xrand.New(99)
+			for now := int64(0); now < 400; now++ {
+				planned := a.BeginStep(now, loads)
+				ref.beginStep(now, loads)
+				if !slices.IsSorted(planned) || len(slices.Compact(slices.Clone(planned))) != len(planned) {
+					t.Fatalf("step %d: planned ids %v not ascending and distinct", now, planned)
+				}
+				for p := 0; p < n; p++ {
+					g := a.Generate(p, nil, now)
+					if g != int(ref.gens[p]) {
+						t.Fatalf("step %d: Generate(%d) = %d, reference %d", now, p, g, ref.gens[p])
+					}
+					if _, ok := slices.BinarySearch(planned, int32(p)); g != 0 && !ok {
+						t.Fatalf("step %d: processor %d generates %d but is not in the plan", now, p, g)
+					}
+					loads[p] += int32(g)
+					if loads[p] > 0 && lr.Bernoulli(0.6) {
+						loads[p]--
+					}
+				}
+			}
+			if a.ClampedWindow != ref.clampedWindow || a.ClampedSystem != ref.clampedSystem {
+				t.Fatalf("clamps window %d system %d, reference %d %d",
+					a.ClampedWindow, a.ClampedSystem, ref.clampedWindow, ref.clampedSystem)
+			}
+			if a.ClampedWindow == 0 {
+				t.Error("the window budget never bound; the test does not exercise it")
+			}
+		})
+	}
+}
+
+// refAdversarial is the all-n reference of Adversarial.BeginStep.
+type refAdversarial struct {
+	adv                          Adversary
+	windowT, budget              int
+	bound                        int64
+	r                            *xrand.Stream
+	gens, usedWin                []int32
+	clampedWindow, clampedSystem int64
+}
+
+func (a *refAdversarial) beginStep(now int64, loads []int32) {
+	if a.gens == nil {
+		a.gens = make([]int32, len(loads))
+		a.usedWin = make([]int32, len(loads))
+	}
+	if now%int64(a.windowT) == 0 {
+		clear(a.usedWin)
+	}
+	clear(a.gens)
+	a.adv.Plan(now, loads, a.gens, a.r, nil)
+	var total int64
+	for _, l := range loads {
+		total += int64(l)
+	}
+	for i := range a.gens {
+		g := max(a.gens[i], 0)
+		if room := int32(a.budget) - a.usedWin[i]; g > room {
+			a.clampedWindow += int64(g - room)
+			g = max(room, 0)
+		}
+		if total+int64(g) > a.bound {
+			allowed := max(a.bound-total, 0)
+			a.clampedSystem += int64(g) - allowed
+			g = int32(allowed)
+		}
+		a.usedWin[i] += g
+		total += int64(g)
+		a.gens[i] = g
+	}
+}
+
 // adversaryFunc adapts a closure to the Adversary interface for tests.
 type adversaryFunc struct {
 	name string
@@ -377,8 +486,14 @@ type adversaryFunc struct {
 }
 
 func (a adversaryFunc) Name() string { return a.name }
-func (a adversaryFunc) Plan(now int64, loads []int32, gens []int32, r *xrand.Stream) {
+func (a adversaryFunc) Plan(now int64, loads []int32, gens []int32, r *xrand.Stream, wrote []int32) []int32 {
 	a.plan(now, loads, gens, r)
+	for i, g := range gens {
+		if g != 0 {
+			wrote = append(wrote, int32(i))
+		}
+	}
+	return wrote
 }
 
 func TestUnitWeight(t *testing.T) {

@@ -49,9 +49,9 @@ type View interface {
 	Now() int64
 	// Load returns the queue length of processor p.
 	Load(p int) int
-	// Snapshot refreshes and returns the per-processor load snapshot;
-	// the slice is owned by the substrate and valid until the next
-	// step or Snapshot call.
+	// Snapshot returns the live per-processor load vector; the slice
+	// is owned by the substrate, follows every load change and must
+	// not be modified.
 	Snapshot() []int32
 	// MaxLoad and TotalLoad are the instantaneous load statistics.
 	MaxLoad() int

@@ -41,8 +41,8 @@ func (m *Machine) Meta() engine.Meta {
 // Run under the interface's name.
 func (m *Machine) Steps(k int) { m.Run(k) }
 
-// Loads returns the refreshed load snapshot (engine.Runner); it is
-// Snapshot under the interface's name, with the same ownership rule.
+// Loads returns the live load vector (engine.Runner); it is Snapshot
+// under the interface's name, with the same ownership rule.
 func (m *Machine) Loads() []int32 { return m.Snapshot() }
 
 // Collect assembles the unified engine.Metrics from the machine's

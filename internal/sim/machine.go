@@ -7,10 +7,19 @@
 // 5). The Machine realizes exactly that: each Step it
 //
 //  1. lets the generation model plan (sequential hook for adversaries),
-//  2. generates and consumes tasks on all processors in parallel
-//     shards, and
+//  2. generates and consumes tasks on the processors, and
 //  3. hands control to the installed Balancer, which may inspect loads,
 //     exchange messages (accounted in Metrics) and move tasks.
+//
+// Models that draw per-processor randomness (gen.Single and kin) step
+// every processor, in parallel shards. A planned model (gen.StepAware,
+// the adversaries) decides centrally who generates, and by its planning
+// contract an idle processor with no planned generation draws nothing
+// and changes nothing; the dense machine therefore keeps a busy set
+// (one bit per processor with a non-empty queue) and walks only the
+// busy and planned processors, sequentially, in ascending id order.
+// Either way the live load vector (Snapshot) is kept current at every
+// queue change, so no step re-derives it.
 //
 // Determinism: every processor owns a private random stream derived
 // from the machine seed, shard boundaries are pure functions of
@@ -22,6 +31,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"plb/internal/deque"
@@ -128,7 +138,8 @@ type Machine struct {
 
 	queues  []deque.Deque[task.Task]
 	streams []xrand.Stream // by value: 32 B/processor, cache-dense at frontier n
-	loads   []int32        // snapshot (dense) or authoritative counters (sparse)
+	loads   []int32        // live queue lengths (dense) or authoritative counters (sparse)
+	busy    []uint64       // planned-model dense machines: bit p set iff p's queue is non-empty
 	recs    []task.Recorder
 	gens    []int64 // per-shard generated-task counters
 	wloads  []int64 // per-processor remaining service weight
@@ -142,6 +153,12 @@ type Machine struct {
 	down      func(p int, now int64) bool
 	genOff    func(p int, now int64) bool
 	sparse    *sparseEngine // nil in the dense (task-queue) mode
+
+	// Dense heavy set (ConfigureHeavyIndex): HeavyIDs derives it on
+	// each call into heavyBuf, by load or by remaining weight.
+	heavyT        int
+	heavyByWeight bool
+	heavyBuf      []int32
 
 	// Devirtualized replay thresholds for the paper's primary model
 	// (gen.Single with P+Eps < 1), precomputed once so the sparse
@@ -170,6 +187,9 @@ func New(cfg Config) (*Machine, error) {
 		gens:    make([]int64, par.NumShards(cfg.N, cfg.Workers)),
 		weigher: cfg.Weigher,
 	}
+	if sa, ok := cfg.Model.(gen.StepAware); ok {
+		m.stepAware = sa
+	}
 	if cfg.Sparse {
 		if err := validateSparse(cfg); err != nil {
 			return nil, err
@@ -178,6 +198,9 @@ func New(cfg Config) (*Machine, error) {
 	} else {
 		m.queues = make([]deque.Deque[task.Task], cfg.N)
 		m.wloads = make([]int64, cfg.N)
+		if m.stepAware != nil && cfg.Placer == nil {
+			m.busy = make([]uint64, (cfg.N+63)/64)
+		}
 	}
 	root := xrand.New(cfg.Seed)
 	for p := 0; p < cfg.N; p++ {
@@ -192,9 +215,6 @@ func New(cfg Config) (*Machine, error) {
 		m.singleFast = true
 		m.genThr = uint64(math.Ceil(s.P * (1 << 53)))
 		m.consThr = uint64(math.Ceil((s.P + s.Eps) * (1 << 53)))
-	}
-	if sa, ok := cfg.Model.(gen.StepAware); ok {
-		m.stepAware = sa
 	}
 	m.placer = cfg.Placer
 	if m.placer != nil {
@@ -257,42 +277,25 @@ func (m *Machine) Load(p int) int {
 	return m.queues[p].Len()
 }
 
-// Snapshot refreshes and returns the internal load snapshot. The
-// returned slice is owned by the machine and valid until the next
-// Step or Snapshot call; callers must not modify it.
+// Snapshot returns the machine's live load vector: entry p is processor
+// p's queue length, kept current at every load change (a sparse
+// machine first catches every processor up). The slice is owned by the
+// machine and changes as loads do; callers must not modify it, and must
+// copy it to keep a past state.
 func (m *Machine) Snapshot() []int32 {
 	if e := m.sparse; e != nil {
 		e.syncAll(m)
-		return m.loads
 	}
-	par.Ranges(m.n, m.workers, func(_, lo, hi int) {
-		for p := lo; p < hi; p++ {
-			m.loads[p] = int32(m.queues[p].Len())
-		}
-	})
 	return m.loads
 }
 
 // MaxLoad returns the largest queue length.
 func (m *Machine) MaxLoad() int {
-	if e := m.sparse; e != nil {
-		e.syncAll(m)
-		return par.RangesReduce(m.n, m.workers, func(_, lo, hi int) int {
-			best := 0
-			for p := lo; p < hi; p++ {
-				if l := int(m.loads[p]); l > best {
-					best = l
-				}
-			}
-			return best
-		}, func(a, b int) int { return max(a, b) })
-	}
+	loads := m.Snapshot()
 	return par.RangesReduce(m.n, m.workers, func(_, lo, hi int) int {
 		best := 0
-		for p := lo; p < hi; p++ {
-			if l := m.queues[p].Len(); l > best {
-				best = l
-			}
+		for _, l := range loads[lo:hi] {
+			best = max(best, int(l))
 		}
 		return best
 	}, func(a, b int) int { return max(a, b) })
@@ -306,11 +309,29 @@ func (m *Machine) TotalLoad() int64 {
 	}
 	return par.RangesReduce(m.n, m.workers, func(_, lo, hi int) int64 {
 		var sum int64
-		for p := lo; p < hi; p++ {
-			sum += int64(m.queues[p].Len())
+		for _, l := range m.loads[lo:hi] {
+			sum += int64(l)
 		}
 		return sum
 	}, func(a, b int64) int64 { return a + b })
+}
+
+// noteLoad records processor p's queue length in the live load vector
+// and, on a machine that keeps one, in the busy set. Sequential code
+// calls it after every queue change; the parallel sweep writes only
+// loads[p] (stepProc) and never runs on a machine with a busy set, so
+// it needs no atomics.
+func (m *Machine) noteLoad(p int) {
+	l := m.queues[p].Len()
+	m.loads[p] = int32(l)
+	if m.busy != nil {
+		bit := uint64(1) << (uint(p) & 63)
+		if l > 0 {
+			m.busy[p>>6] |= bit
+		} else {
+			m.busy[p>>6] &^= bit
+		}
+	}
 }
 
 // Inject pushes k fresh tasks onto processor p's queue (used to set up
@@ -328,6 +349,7 @@ func (m *Machine) Inject(p, k int) {
 	}
 	m.wloads[p] += int64(k)
 	m.gens[0] += int64(k)
+	m.noteLoad(p)
 }
 
 // InjectWeighted pushes k fresh tasks of weight w each onto processor
@@ -348,6 +370,7 @@ func (m *Machine) InjectWeighted(p, k int, w int32) {
 	}
 	m.wloads[p] += int64(k) * int64(w)
 	m.gens[0] += int64(k)
+	m.noteLoad(p)
 }
 
 // Generated returns the total number of tasks ever created (model
@@ -397,6 +420,8 @@ func (m *Machine) Transfer(from, to, k int) int {
 	m.wloads[to] += weight
 	m.queues[to].PushBackAll(block)
 	m.xferBuf = block[:0]
+	m.noteLoad(from)
+	m.noteLoad(to)
 	atomic.AddInt64(&m.metrics.TasksMoved, int64(len(block)))
 	atomic.AddInt64(&m.metrics.BalanceActions, 1)
 	return len(block)
@@ -430,6 +455,8 @@ func (m *Machine) TransferWeight(from, to int, wbudget int64) (tasks int, weight
 	}
 	m.wloads[from] -= weight
 	m.wloads[to] += weight
+	m.noteLoad(from)
+	m.noteLoad(to)
 	atomic.AddInt64(&m.metrics.TasksMoved, int64(len(block)))
 	atomic.AddInt64(&m.metrics.BalanceActions, 1)
 	return len(block), weight
@@ -503,6 +530,9 @@ func (m *Machine) Scatter(r *xrand.Stream) int64 {
 		m.wloads[dest] += int64(t.Remaining)
 		moved++
 	}
+	for p := 0; p < m.n; p++ {
+		m.noteLoad(p)
+	}
 	atomic.AddInt64(&m.metrics.TasksMoved, moved)
 	return moved
 }
@@ -554,7 +584,9 @@ func (m *Machine) ScatterFrom(p int, r *xrand.Stream) int64 {
 		m.queues[dest].PushBack(t)
 		m.wloads[p] -= int64(t.Remaining)
 		m.wloads[dest] += int64(t.Remaining)
+		m.noteLoad(dest)
 	}
+	m.noteLoad(p)
 	atomic.AddInt64(&m.metrics.TasksMoved, int64(len(block)))
 	atomic.AddInt64(&m.metrics.BalanceActions, 1)
 	return int64(len(block))
@@ -606,12 +638,16 @@ func (m *Machine) Step() {
 		m.now++
 		return
 	}
+	var planned []int32
 	if m.stepAware != nil {
-		m.stepAware.BeginStep(m.now, m.Snapshot())
+		planned = m.stepAware.BeginStep(m.now, m.loads)
 	}
-	if m.placer != nil {
+	switch {
+	case m.placer != nil:
 		m.stepPlaced()
-	} else {
+	case m.busy != nil:
+		m.stepPlanned(planned)
+	default:
 		m.stepLocal()
 	}
 	if m.bal != nil {
@@ -651,29 +687,59 @@ func (m *Machine) consume(p int, budget int, rec *task.Recorder) {
 	}
 }
 
-// stepLocal generates in place (the paper's local model) and consumes,
-// sharded in parallel.
+// stepProc generates and consumes on processor p for the current step
+// (the paper's local model), counting generated tasks into *gens and
+// completions into rec, and leaves p's queue length in the live load
+// vector. It touches only processor p's state, so shards may run it in
+// parallel.
+func (m *Machine) stepProc(p int, rec *task.Recorder, gens *int64) {
+	if m.down != nil && m.down(p, m.now) {
+		return // crashed: no generation, no consumption
+	}
+	r := &m.streams[p]
+	q := &m.queues[p]
+	if m.genOff == nil || !m.genOff(p, m.now) {
+		g := m.model.Generate(p, r, m.now)
+		*gens += int64(g)
+		for i := 0; i < g; i++ {
+			t := m.newTask(p, r)
+			m.wloads[p] += int64(t.Weight)
+			q.PushBack(t)
+		}
+	}
+	m.consume(p, m.model.WantConsume(p, r, m.now), rec)
+	m.loads[p] = int32(q.Len())
+}
+
+// stepLocal steps every processor, sharded in parallel: models that
+// draw per-processor randomness must advance every stream each step.
 func (m *Machine) stepLocal() {
 	par.Ranges(m.n, m.workers, func(shard, lo, hi int) {
-		rec := &m.recs[shard]
+		rec, gens := &m.recs[shard], &m.gens[shard]
 		for p := lo; p < hi; p++ {
-			if m.down != nil && m.down(p, m.now) {
-				continue // crashed: no generation, no consumption
-			}
-			r := &m.streams[p]
-			q := &m.queues[p]
-			if m.genOff == nil || !m.genOff(p, m.now) {
-				g := m.model.Generate(p, r, m.now)
-				m.gens[shard] += int64(g)
-				for i := 0; i < g; i++ {
-					t := m.newTask(p, r)
-					m.wloads[p] += int64(t.Weight)
-					q.PushBack(t)
-				}
-			}
-			m.consume(p, m.model.WantConsume(p, r, m.now), rec)
+			m.stepProc(p, rec, gens)
 		}
 	})
+}
+
+// stepPlanned is the dense step for a planned model: it visits, in
+// ascending id order, only the processors whose queue is non-empty or
+// whose generation is planned. Any other processor has nothing to
+// consume and, by gen.StepAware's planning contract, generates nothing
+// and draws nothing, so skipping it is exact. Completions land in shard
+// 0's recorder; the merged Recorder is the same for any split.
+func (m *Machine) stepPlanned(planned []int32) {
+	for _, p := range planned {
+		m.busy[p>>6] |= 1 << (uint(p) & 63)
+	}
+	rec, gens := &m.recs[0], &m.gens[0]
+	for i, w := range m.busy {
+		for ; w != 0; w &= w - 1 {
+			p := i<<6 | bits.TrailingZeros64(w)
+			m.stepProc(p, rec, gens)
+			m.noteLoad(p)
+		}
+	}
 }
 
 // stepPlaced routes every generated task through the placer. It runs
@@ -693,9 +759,11 @@ func (m *Machine) stepPlaced() {
 				t := m.newTask(p, r)
 				m.wloads[dest] += int64(t.Weight)
 				m.queues[dest].PushBack(t)
+				m.noteLoad(dest)
 			}
 		}
 		m.consume(p, m.model.WantConsume(p, r, m.now), rec)
+		m.noteLoad(p)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Sparse event-driven execution (ROADMAP item 2, the frontier move).
 //
-// The dense machine lock-steps all n processors every tick, so wall
+// A model that draws per-processor randomness (gen.Single) makes the
+// dense machine advance every processor's stream every tick, so wall
 // clock scales with n even though the paper proves the balancing work
 // is asymptotically negligible (Lemma 4 bounds the heavy set, Lemma 7
 // the per-phase requests). The sparse mode steps only the processors
@@ -118,24 +119,29 @@ func newSparseEngine(n, shards int) *sparseEngine {
 }
 
 // SparseActive reports whether the machine runs in the sparse
-// event-driven mode. Balancers use it to select their index-driven
-// code path.
+// event-driven mode, which keeps load counters instead of tasks (so it
+// has no weighted service).
 func (m *Machine) SparseActive() bool { return m.sparse != nil }
 
-// ConfigureHeavyIndex installs the incrementally-maintained heavy
-// index at threshold heavyT. A balancer that wants HeavyIDs must call
-// this from its Init (i.e. before the first Step); on a dense machine
-// the call is a no-op so balancers can call it unconditionally.
-func (m *Machine) ConfigureHeavyIndex(heavyT int) {
-	e := m.sparse
-	if e == nil {
-		return
-	}
+// ConfigureHeavyIndex sets the heavy threshold HeavyIDs reports
+// against: a processor is heavy when its load is at least heavyT, or,
+// with byWeight, when its remaining service weight is (on a sparse
+// machine every task has unit weight, so the two agree). A balancer
+// that wants HeavyIDs must call this from its Init, before the first
+// Step. The sparse machine then keeps an incremental heavy index; the
+// dense machine derives the set from its live loads on each HeavyIDs
+// call.
+func (m *Machine) ConfigureHeavyIndex(heavyT int, byWeight bool) {
 	if heavyT <= 0 {
 		panic(fmt.Sprintf("sim: ConfigureHeavyIndex(%d): threshold must be positive", heavyT))
 	}
-	if m.now != 0 || e.target != -1 {
+	e := m.sparse
+	if m.now != 0 || (e != nil && e.target != -1) {
 		panic("sim: ConfigureHeavyIndex after stepping began")
+	}
+	if e == nil {
+		m.heavyT, m.heavyByWeight = heavyT, byWeight
+		return
 	}
 	bm := m.model.(gen.Bounded) // guaranteed by validateSparse
 	e.heavyT = heavyT
@@ -145,13 +151,21 @@ func (m *Machine) ConfigureHeavyIndex(heavyT int) {
 	}
 }
 
-// HeavyIDs returns the processors whose load is at least the
-// configured heavy threshold, in ascending id order — exactly the set
-// and order the dense balancer's sharded classification pass produces.
-// The slice is owned by the machine and valid only until the next load
-// mutation; callers that transfer while iterating must copy it first.
+// HeavyIDs returns the processors whose load (or weight) is at least
+// the configured heavy threshold, in ascending id order, and nil before
+// ConfigureHeavyIndex. The slice is owned by the machine and valid only
+// until the next load mutation or HeavyIDs call; callers that transfer
+// while iterating must copy it first.
+//
+// A dense machine reads its busy set where it keeps one (every heavy
+// processor has a non-empty queue: a queued task has at least one unit
+// of remaining weight) and otherwise makes one contiguous scan of the
+// live loads.
 func (m *Machine) HeavyIDs() []int32 {
 	e := m.sparse
+	if e == nil {
+		return m.denseHeavy()
+	}
 	if !e.heavySorted {
 		slices.Sort(e.heavy)
 		for i, p := range e.heavy {
@@ -160,6 +174,42 @@ func (m *Machine) HeavyIDs() []int32 {
 		e.heavySorted = true
 	}
 	return e.heavy
+}
+
+func (m *Machine) denseHeavy() []int32 {
+	if m.heavyT <= 0 {
+		return nil
+	}
+	ids, h := m.heavyBuf[:0], m.heavyT
+	switch {
+	case m.busy != nil:
+		for i, w := range m.busy {
+			for ; w != 0; w &= w - 1 {
+				p := i<<6 | bits.TrailingZeros64(w)
+				l := int64(m.loads[p])
+				if m.heavyByWeight {
+					l = m.wloads[p]
+				}
+				if l >= int64(h) {
+					ids = append(ids, int32(p))
+				}
+			}
+		}
+	case m.heavyByWeight:
+		for p, w := range m.wloads {
+			if w >= int64(h) {
+				ids = append(ids, int32(p))
+			}
+		}
+	default:
+		for p, l := range m.loads {
+			if int(l) >= h {
+				ids = append(ids, int32(p))
+			}
+		}
+	}
+	m.heavyBuf = ids
+	return ids
 }
 
 // SparseStats returns the event-driven mode's work counters: how many

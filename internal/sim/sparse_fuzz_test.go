@@ -38,7 +38,7 @@ func FuzzSparseEquivalence(f *testing.F) {
 			}
 			m.Inject(0, int(inject))
 			if sparse {
-				m.ConfigureHeavyIndex(3)
+				m.ConfigureHeavyIndex(3, false)
 			}
 			return m
 		}

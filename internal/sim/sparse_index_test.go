@@ -19,7 +19,7 @@ func TestHeavyIndexMatchesScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.ConfigureHeavyIndex(H)
+	m.ConfigureHeavyIndex(H, false)
 	rng := xrand.New(123)
 	for step := 0; step < 400; step++ {
 		switch step % 7 {
