@@ -107,7 +107,10 @@ func BenchmarkFleetTaskFlow(b *testing.B) {
 }
 
 // BenchmarkMachineStep measures raw simulator throughput
-// (processor-steps per second) for the balanced and unbalanced system.
+// (processor-steps per second) for the balanced and unbalanced system
+// under the Single model, and for the planned-model walk in the
+// lockstep-bursty benchmark workload's shape (bfm98 under the bursty
+// adversary, one worker shard).
 func BenchmarkMachineStep(b *testing.B) {
 	for _, balanced := range []bool{false, true} {
 		for _, n := range []int{1 << 10, 1 << 14} {
@@ -139,6 +142,28 @@ func BenchmarkMachineStep(b *testing.B) {
 			})
 		}
 	}
+	const n = 1 << 16
+	b.Run("bursty/n="+strconv.Itoa(n), func(b *testing.B) {
+		model, weigher, err := cli.BuildWorkload("workload:arrivals=bursty", n, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := sim.Config{N: n, Model: model, Weigher: weigher, Seed: 1, Workers: 1}
+		if err := cli.InstallPolicy(&cfg, "bfm98", policy.Params{N: n, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+		m, err := sim.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.Steps(32) // the benchmark workload's warm-up
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.Step()
+		}
+		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "proc-steps/s")
+	})
 }
 
 // BenchmarkMachineStepWorkers measures full-machine step throughput of

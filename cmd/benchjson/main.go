@@ -4,11 +4,17 @@
 //
 //	go test -bench=. -benchmem ./... | benchjson -o BENCH_plb.json
 //
-// The JSON carries one record per benchmark result line (name,
-// parallelism suffix, iterations, ns/op, and the -benchmem B/op and
-// allocs/op when present) plus the host Go environment — enough for a
-// CI artifact that trend dashboards or quick diffs can consume without
-// re-parsing the text format.
+// The JSON carries one record per benchmark (name, parallelism suffix,
+// iterations, ns/op, and the -benchmem B/op and allocs/op when present)
+// plus the host Go environment — enough for a CI artifact that trend
+// dashboards or quick diffs can consume without re-parsing the text
+// format. Repeated results of one benchmark (go test -count=N) fold
+// into one record of medians, with the ns/op quartiles beside them:
+//
+//	go test -run '^$' -bench 'MachineStep' -count 10 . | benchjson -o rungs.json
+//
+// and -compare flags a folded benchmark only when the quartile bands of
+// the two files do not overlap.
 package main
 
 import (
@@ -17,8 +23,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -35,6 +43,12 @@ type Result struct {
 	Procs      int     `json:"procs"`
 	Iterations int64   `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
+	// Runs counts the results folded into this record (0 for a single
+	// result). With Runs > 1 every measurement is the median over the
+	// runs, and [NsQ1, NsQ3] is the interquartile band of ns/op.
+	Runs int     `json:"runs,omitempty"`
+	NsQ1 float64 `json:"ns_q1,omitempty"`
+	NsQ3 float64 `json:"ns_q3,omitempty"`
 	// BytesPerOp and AllocsPerOp are present with -benchmem.
 	BytesPerOp  int64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64 `json:"allocs_per_op,omitempty"`
@@ -59,7 +73,7 @@ type File struct {
 func main() {
 	out := flag.String("o", "BENCH_plb.json", "output JSON path")
 	before := flag.String("before", "", "prior benchmark JSON to embed as the 'before' field")
-	compare := flag.Bool("compare", false, "compare two benchmark JSON files: benchjson -compare old.json new.json (prints a delta table; regressions warn, exit stays 0)")
+	compare := flag.Bool("compare", false, "compare two benchmark JSON files: benchjson -compare old.json new.json (prints a delta table; regressions warn, exit stays 0; benchmarks folded from -count=N on both sides are flagged only when their quartile bands separate)")
 	flag.Parse()
 
 	if *compare {
@@ -84,7 +98,7 @@ func main() {
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		Generated: time.Now().UTC().Format(time.RFC3339),
-		Results:   results,
+		Results:   fold(results),
 	}
 	if *before != "" {
 		prev, err := load(*before)
@@ -110,7 +124,76 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: %d results -> %s\n", len(results), *out)
+	fmt.Fprintf(os.Stderr, "benchjson: %d results (%d benchmarks) -> %s\n", len(results), len(doc.Results), *out)
+}
+
+// fold merges the repeated results of each benchmark (go test -count=N)
+// into one record, in first-seen order: every measurement becomes its
+// median, and ns/op also gets its quartiles and the run count. A
+// benchmark that ran once is kept as it is.
+func fold(results []Result) []Result {
+	type key struct {
+		pkg, name string
+		procs     int
+	}
+	var order []key
+	groups := make(map[key][]Result)
+	for _, r := range results {
+		k := key{r.Package, r.Name, r.Procs}
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], r)
+	}
+	out := make([]Result, 0, len(order))
+	for _, k := range order {
+		g := groups[k]
+		if len(g) == 1 {
+			out = append(out, g[0])
+			continue
+		}
+		median := func(get func(Result) float64) float64 {
+			xs := make([]float64, len(g))
+			for i, r := range g {
+				xs[i] = get(r)
+			}
+			return quantile(xs, 0.5)
+		}
+		ns := make([]float64, len(g))
+		for i, r := range g {
+			ns[i] = r.NsPerOp
+		}
+		f := g[0]
+		f.Runs = len(g)
+		f.NsPerOp, f.NsQ1, f.NsQ3 = quantile(ns, 0.5), quantile(ns, 0.25), quantile(ns, 0.75)
+		f.Iterations = int64(math.Round(median(func(r Result) float64 { return float64(r.Iterations) })))
+		f.BytesPerOp = int64(math.Round(median(func(r Result) float64 { return float64(r.BytesPerOp) })))
+		f.AllocsPerOp = int64(math.Round(median(func(r Result) float64 { return float64(r.AllocsPerOp) })))
+		f.Extra = nil
+		for _, r := range g {
+			for unit := range r.Extra {
+				if f.Extra == nil {
+					f.Extra = make(map[string]float64)
+				}
+				f.Extra[unit] = median(func(r Result) float64 { return r.Extra[unit] })
+			}
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// quantile returns the q-quantile of xs by linear interpolation between
+// order statistics (the bench harness's rule). It sorts xs in place.
+func quantile(xs []float64, q float64) float64 {
+	sort.Float64s(xs)
+	pos := q * float64(len(xs)-1)
+	lo := int(pos)
+	if lo >= len(xs)-1 {
+		return xs[len(xs)-1]
+	}
+	frac := pos - float64(lo)
+	return xs[lo]*(1-frac) + xs[lo+1]*frac
 }
 
 // load reads a benchmark JSON file.
@@ -126,15 +209,37 @@ func load(path string) (*File, error) {
 	return &f, nil
 }
 
-// regressThreshold is the ns/op growth beyond which a comparison row is
-// flagged. Single-run benches on shared CI hosts jitter; the threshold
-// keeps the warn-only signal from crying wolf on noise.
+// regressThreshold is the ns/op growth beyond which a comparison row of
+// single runs is flagged. Single-run benches on shared CI hosts jitter;
+// the threshold keeps the warn-only signal from crying wolf on noise.
 const regressThreshold = 0.15
 
-// runCompare prints a benchstat-style delta table of new vs old.
-// Regressions are flagged in the table and summarized on stderr, but
-// never change the exit code — the committed baseline moves only when a
-// human decides it should.
+// verdict flags one comparison row. When both sides were folded from
+// repeated runs, a change counts only if the quartile bands separate:
+// the new Q1 above the old Q3 is a regression, the new Q3 below the old
+// Q1 an improvement, and overlapping bands are noise whatever the
+// medians say. Otherwise the single-run threshold applies.
+func verdict(or, nr Result) (flag string, regressed bool) {
+	if or.Runs > 1 && nr.Runs > 1 {
+		switch {
+		case nr.NsQ1 > or.NsQ3:
+			return "  WARN: regression (bands separate)", true
+		case nr.NsQ3 < or.NsQ1:
+			return "  faster (bands separate)", false
+		}
+		return "", false
+	}
+	if nr.NsPerOp/or.NsPerOp-1 > regressThreshold {
+		return "  WARN: regression", true
+	}
+	return "", false
+}
+
+// runCompare prints a benchstat-style delta table of new vs old, with
+// the ns/op quartile bands of folded benchmarks. Regressions are
+// flagged in the table and summarized on stderr, but never change the
+// exit code — the committed baseline moves only when a human decides it
+// should.
 func runCompare(oldPath, newPath string, w io.Writer) error {
 	oldF, err := load(oldPath)
 	if err != nil {
@@ -164,23 +269,26 @@ func runCompare(oldPath, newPath string, w io.Writer) error {
 		}
 		matched++
 		delta := nr.NsPerOp/or.NsPerOp - 1
-		flag := ""
-		if delta > regressThreshold {
-			flag = "  WARN: regression"
+		flag, regressed := verdict(or, nr)
+		if regressed {
 			regressions++
 		}
 		allocs := fmt.Sprintf("%d->%d", or.AllocsPerOp, nr.AllocsPerOp)
 		if nr.AllocsPerOp == or.AllocsPerOp {
 			allocs = fmt.Sprintf("%d", nr.AllocsPerOp)
 		}
-		fmt.Fprintf(w, "%-64s %14.1f %14.1f %+7.1f%% %10s%s\n",
-			nr.Name, or.NsPerOp, nr.NsPerOp, delta*100, allocs, flag)
+		bands := ""
+		if or.Runs > 1 && nr.Runs > 1 {
+			bands = fmt.Sprintf("  [%.4g, %.4g] -> [%.4g, %.4g]", or.NsQ1, or.NsQ3, nr.NsQ1, nr.NsQ3)
+		}
+		fmt.Fprintf(w, "%-64s %14.1f %14.1f %+7.1f%% %10s%s%s\n",
+			nr.Name, or.NsPerOp, nr.NsPerOp, delta*100, allocs, bands, flag)
 	}
 	if matched == 0 {
 		fmt.Fprintln(w, "(no common benchmarks)")
 	}
 	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed more than %.0f%% (warn-only)\n",
+		fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed: quartile bands separate, or a single run grew more than %.0f%% (warn-only)\n",
 			regressions, regressThreshold*100)
 	}
 	return nil

@@ -200,3 +200,74 @@ func TestLoadEmbeddedBefore(t *testing.T) {
 		t.Fatalf("before field not round-tripped: %+v", f.Before)
 	}
 }
+
+// TestFoldRepeatedRuns checks that -count=N results of one benchmark
+// fold into one record of medians with ns/op quartiles, in first-seen
+// order, while a benchmark that ran once is kept as it is.
+func TestFoldRepeatedRuns(t *testing.T) {
+	const counted = `pkg: plb
+BenchmarkStep/n=8-2   	 100	 400 ns/op	 16 B/op	 1 allocs/op	 3 wait/op
+BenchmarkOnce-2       	  10	 900 ns/op
+BenchmarkStep/n=8-2   	 100	 100 ns/op	 16 B/op	 1 allocs/op	 1 wait/op
+BenchmarkStep/n=8-2   	 120	 300 ns/op	 32 B/op	 3 allocs/op	 2 wait/op
+BenchmarkStep/n=8-2   	 100	 200 ns/op	 16 B/op	 1 allocs/op	 4 wait/op
+BenchmarkStep/n=8-2   	  80	 500 ns/op	 16 B/op	 1 allocs/op	 5 wait/op
+ok  	plb	1.0s
+`
+	results, err := parse(strings.NewReader(counted), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded := fold(results)
+	if len(folded) != 2 || folded[0].Name != "BenchmarkStep/n=8" || folded[1].Name != "BenchmarkOnce" {
+		t.Fatalf("folded = %+v, want Step then Once", folded)
+	}
+	s := folded[0]
+	if s.Runs != 5 || s.NsPerOp != 300 || s.NsQ1 != 200 || s.NsQ3 != 400 {
+		t.Fatalf("ns/op fold = runs %d median %v band [%v, %v], want 5, 300, [200, 400]", s.Runs, s.NsPerOp, s.NsQ1, s.NsQ3)
+	}
+	if s.Iterations != 100 || s.BytesPerOp != 16 || s.AllocsPerOp != 1 || s.Extra["wait"] != 3 {
+		t.Fatalf("medians = %+v", s)
+	}
+	if o := folded[1]; o.Runs != 0 || o.NsQ1 != 0 || o.NsPerOp != 900 {
+		t.Fatalf("single run changed by fold: %+v", o)
+	}
+}
+
+// TestRunCompareBands checks that folded benchmarks are flagged only
+// when their quartile bands separate, whatever the medians say.
+func TestRunCompareBands(t *testing.T) {
+	dir := t.TempDir()
+	band := func(name string, q1, med, q3 float64) Result {
+		return Result{Name: name, Procs: 1, Runs: 10, NsQ1: q1, NsPerOp: med, NsQ3: q3}
+	}
+	oldPath := writeFile(t, dir, "old.json", File{Results: []Result{
+		band("BenchmarkNoisy", 90, 100, 140),
+		band("BenchmarkSlower", 90, 100, 110),
+		band("BenchmarkFaster", 90, 100, 110),
+	}})
+	newPath := writeFile(t, dir, "new.json", File{Results: []Result{
+		band("BenchmarkNoisy", 120, 130, 150),  // +30% median, bands overlap
+		band("BenchmarkSlower", 111, 112, 113), // +12% median, bands separate
+		band("BenchmarkFaster", 60, 70, 80),
+	}})
+	var out strings.Builder
+	if err := runCompare(oldPath, newPath, &out); err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			rows[f[0]] = line
+		}
+	}
+	if strings.Contains(rows["BenchmarkNoisy"], "WARN") {
+		t.Errorf("overlapping bands flagged: %s", rows["BenchmarkNoisy"])
+	}
+	if !strings.Contains(rows["BenchmarkSlower"], "WARN: regression (bands separate)") {
+		t.Errorf("separated slower band not flagged: %s", rows["BenchmarkSlower"])
+	}
+	if !strings.Contains(rows["BenchmarkFaster"], "faster (bands separate)") {
+		t.Errorf("separated faster band not reported: %s", rows["BenchmarkFaster"])
+	}
+}

@@ -319,7 +319,7 @@ func (m *Machine) TotalLoad() int64 {
 // noteLoad records processor p's queue length in the live load vector
 // and, on a machine that keeps one, in the busy set. Sequential code
 // calls it after every queue change; the parallel sweep writes only
-// loads[p] (stepProc) and never runs on a machine with a busy set, so
+// loads[p] (stepRange) and never runs on a machine with a busy set, so
 // it needs no atomics.
 func (m *Machine) noteLoad(p int) {
 	l := m.queues[p].Len()
@@ -485,12 +485,11 @@ func (m *Machine) MaxWeightedLoad() int64 {
 	return max
 }
 
-// SnapshotWeights refreshes and returns the per-processor remaining
-// weights. Like Snapshot, the returned slice is owned by the machine
-// and valid until the next Step or SnapshotWeights call; unlike the
-// original implementation it is a private snapshot buffer, not the
-// live accounting array, so a caller mutating the returned slice can
-// no longer corrupt transfer bookkeeping.
+// SnapshotWeights copies the per-processor remaining weights into a
+// machine-owned buffer and returns it; the copy holds until the next
+// SnapshotWeights call. Unlike Snapshot it is a private copy, not the
+// live accounting array, so a caller mutating the returned slice
+// cannot corrupt transfer bookkeeping.
 func (m *Machine) SnapshotWeights() []int64 {
 	if m.wsnap == nil {
 		m.wsnap = make([]int64, m.n)
@@ -687,38 +686,40 @@ func (m *Machine) consume(p int, budget int, rec *task.Recorder) {
 	}
 }
 
-// stepProc generates and consumes on processor p for the current step
-// (the paper's local model), counting generated tasks into *gens and
-// completions into rec, and leaves p's queue length in the live load
-// vector. It touches only processor p's state, so shards may run it in
-// parallel.
-func (m *Machine) stepProc(p int, rec *task.Recorder, gens *int64) {
-	if m.down != nil && m.down(p, m.now) {
-		return // crashed: no generation, no consumption
-	}
-	r := &m.streams[p]
-	q := &m.queues[p]
-	if m.genOff == nil || !m.genOff(p, m.now) {
-		g := m.model.Generate(p, r, m.now)
-		*gens += int64(g)
-		for i := 0; i < g; i++ {
-			t := m.newTask(p, r)
-			m.wloads[p] += int64(t.Weight)
-			q.PushBack(t)
+// stepRange generates and consumes on processors lo..hi-1 for the
+// current step (the paper's local model), records completions in rec,
+// leaves each queue length in the live load vector, and returns the
+// tasks generated. It touches only those processors' state, so shards
+// may run it in parallel. The count is summed locally: shards that
+// bumped their adjacent m.gens entries per processor shared a cache
+// line.
+func (m *Machine) stepRange(lo, hi int, rec *task.Recorder) (generated int64) {
+	for p := lo; p < hi; p++ {
+		if m.down != nil && m.down(p, m.now) {
+			continue // crashed: no generation, no consumption
 		}
+		r := &m.streams[p]
+		q := &m.queues[p]
+		if m.genOff == nil || !m.genOff(p, m.now) {
+			g := m.model.Generate(p, r, m.now)
+			generated += int64(g)
+			for i := 0; i < g; i++ {
+				t := m.newTask(p, r)
+				m.wloads[p] += int64(t.Weight)
+				q.PushBack(t)
+			}
+		}
+		m.consume(p, m.model.WantConsume(p, r, m.now), rec)
+		m.loads[p] = int32(q.Len())
 	}
-	m.consume(p, m.model.WantConsume(p, r, m.now), rec)
-	m.loads[p] = int32(q.Len())
+	return generated
 }
 
 // stepLocal steps every processor, sharded in parallel: models that
 // draw per-processor randomness must advance every stream each step.
 func (m *Machine) stepLocal() {
 	par.Ranges(m.n, m.workers, func(shard, lo, hi int) {
-		rec, gens := &m.recs[shard], &m.gens[shard]
-		for p := lo; p < hi; p++ {
-			m.stepProc(p, rec, gens)
-		}
+		m.gens[shard] += m.stepRange(lo, hi, &m.recs[shard])
 	})
 }
 
@@ -732,14 +733,16 @@ func (m *Machine) stepPlanned(planned []int32) {
 	for _, p := range planned {
 		m.busy[p>>6] |= 1 << (uint(p) & 63)
 	}
-	rec, gens := &m.recs[0], &m.gens[0]
+	rec := &m.recs[0]
+	var generated int64
 	for i, w := range m.busy {
 		for ; w != 0; w &= w - 1 {
 			p := i<<6 | bits.TrailingZeros64(w)
-			m.stepProc(p, rec, gens)
+			generated += m.stepRange(p, p+1, rec)
 			m.noteLoad(p)
 		}
 	}
+	m.gens[0] += generated
 }
 
 // stepPlaced routes every generated task through the placer. It runs
