@@ -690,9 +690,8 @@ func (m *Machine) consume(p int, budget int, rec *task.Recorder) {
 // current step (the paper's local model), records completions in rec,
 // leaves each queue length in the live load vector, and returns the
 // tasks generated. It touches only those processors' state, so shards
-// may run it in parallel. The count is summed locally: shards that
-// bumped their adjacent m.gens entries per processor shared a cache
-// line.
+// may run it in parallel. The count is summed locally and added once
+// per range, because the shards' m.gens entries share a cache line.
 func (m *Machine) stepRange(lo, hi int, rec *task.Recorder) (generated int64) {
 	for p := lo; p < hi; p++ {
 		if m.down != nil && m.down(p, m.now) {

@@ -127,21 +127,21 @@ func (m *Machine) SparseActive() bool { return m.sparse != nil }
 // against: a processor is heavy when its load is at least heavyT, or,
 // with byWeight, when its remaining service weight is (on a sparse
 // machine every task has unit weight, so the two agree). A balancer
-// that wants HeavyIDs must call this from its Init, before the first
-// Step. The sparse machine then keeps an incremental heavy index; the
-// dense machine derives the set from its live loads on each HeavyIDs
-// call.
+// that wants HeavyIDs calls this from its Init. The dense machine
+// derives the set from its live loads on each HeavyIDs call; the sparse
+// machine keeps an incremental heavy index, which must be installed
+// before the first Step.
 func (m *Machine) ConfigureHeavyIndex(heavyT int, byWeight bool) {
 	if heavyT <= 0 {
 		panic(fmt.Sprintf("sim: ConfigureHeavyIndex(%d): threshold must be positive", heavyT))
 	}
 	e := m.sparse
-	if m.now != 0 || (e != nil && e.target != -1) {
-		panic("sim: ConfigureHeavyIndex after stepping began")
-	}
 	if e == nil {
 		m.heavyT, m.heavyByWeight = heavyT, byWeight
 		return
+	}
+	if m.now != 0 || e.target != -1 {
+		panic("sim: ConfigureHeavyIndex after stepping began")
 	}
 	bm := m.model.(gen.Bounded) // guaranteed by validateSparse
 	e.heavyT = heavyT
