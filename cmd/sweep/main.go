@@ -33,10 +33,11 @@ type system struct {
 	build func(n int, seed uint64) (engine.Runner, error)
 }
 
-// defaultPolicies is the historical figure line-up; the column labels
-// keep the names the committed CSVs were generated under.
-const defaultPolicies = "bfm98,unbalanced,greedy2,rsu,lm,throwair"
+// defaultPolicies is the historical figure line-up.
+const defaultPolicies = "bfm98,unbalanced,supermarket,rsu,lm,throwair"
 
+// legacyLabels renames curves so they match the row labels of the
+// E8/E12/E13/E17 tables in EXPERIMENTS.md.
 var legacyLabels = map[string]string{"rsu": "rsu91", "lm": "lm93"}
 
 func systems(policies string, seed uint64) ([]system, error) {

@@ -31,7 +31,7 @@ import (
 	"fmt"
 
 	"plb/internal/estimate"
-	"plb/internal/policy"
+	"plb/internal/sim"
 	"plb/internal/xrand"
 )
 
@@ -39,14 +39,14 @@ import (
 // balancing" as just another algorithm.
 type Unbalanced struct{}
 
-// Name implements policy.Policy.
+// Name implements sim.Balancer.
 func (Unbalanced) Name() string { return "unbalanced" }
 
-// Init implements policy.Policy.
-func (Unbalanced) Init(policy.View) {}
+// Init implements sim.Balancer.
+func (Unbalanced) Init(*sim.Machine) {}
 
-// Step implements policy.Policy.
-func (Unbalanced) Step(policy.View) {}
+// Step implements sim.Balancer.
+func (Unbalanced) Step(*sim.Machine) {}
 
 // GreedyD is the d-choice balls-into-bins placer: each generated task
 // probes D processors chosen independently and uniformly at random and
@@ -64,7 +64,7 @@ type GreedyD struct {
 	buf []int
 }
 
-var _ policy.Router = (*GreedyD)(nil)
+var _ sim.Placer = (*GreedyD)(nil)
 
 // NewGreedyD validates d and returns the placer.
 func NewGreedyD(d int) (*GreedyD, error) {
@@ -74,11 +74,11 @@ func NewGreedyD(d int) (*GreedyD, error) {
 	return &GreedyD{D: d}, nil
 }
 
-// Name implements policy.Router.
+// Name implements sim.Placer.
 func (g *GreedyD) Name() string { return fmt.Sprintf("greedy(d=%d)", g.D) }
 
-// Init implements policy.Router.
-func (g *GreedyD) Init(m policy.View) {
+// Init implements sim.Placer.
+func (g *GreedyD) Init(m *sim.Machine) {
 	d := g.D
 	if d > m.N() {
 		d = m.N()
@@ -86,8 +86,8 @@ func (g *GreedyD) Init(m policy.View) {
 	g.buf = make([]int, d)
 }
 
-// Route implements policy.Router.
-func (g *GreedyD) Route(m policy.View, _ int, r *xrand.Stream) int {
+// Place implements sim.Placer.
+func (g *GreedyD) Place(m *sim.Machine, _ int, r *xrand.Stream) int {
 	d := len(g.buf)
 	if d == 1 {
 		dest := r.Intn(m.N())
@@ -121,21 +121,21 @@ type RSU struct {
 	rng *xrand.Stream
 }
 
-var _ policy.Policy = (*RSU)(nil)
+var _ sim.Balancer = (*RSU)(nil)
 
-// Name implements policy.Policy.
+// Name implements sim.Balancer.
 func (b *RSU) Name() string { return fmt.Sprintf("rsu91(mindiff=%d)", b.MinDiff) }
 
-// Init implements policy.Policy.
-func (b *RSU) Init(policy.View) {
+// Init implements sim.Balancer.
+func (b *RSU) Init(*sim.Machine) {
 	if b.MinDiff < 1 {
 		b.MinDiff = 2
 	}
 	b.rng = xrand.New(b.Seed ^ 0x51ab)
 }
 
-// Step implements policy.Policy.
-func (b *RSU) Step(m policy.View) {
+// Step implements sim.Balancer.
+func (b *RSU) Step(m *sim.Machine) {
 	n := m.N()
 	for p := 0; p < n; p++ {
 		q := b.rng.Intn(n)
@@ -170,13 +170,13 @@ type LM struct {
 	buf  []int
 }
 
-var _ policy.Policy = (*LM)(nil)
+var _ sim.Balancer = (*LM)(nil)
 
-// Name implements policy.Policy.
+// Name implements sim.Balancer.
 func (b *LM) Name() string { return fmt.Sprintf("lm93(k=%d)", b.K) }
 
-// Init implements policy.Policy.
-func (b *LM) Init(m policy.View) {
+// Init implements sim.Balancer.
+func (b *LM) Init(m *sim.Machine) {
 	if b.K < 1 {
 		b.K = 2
 	}
@@ -191,8 +191,8 @@ func (b *LM) Init(m policy.View) {
 	b.buf = make([]int, b.K)
 }
 
-// Step implements policy.Policy.
-func (b *LM) Step(m policy.View) {
+// Step implements sim.Balancer.
+func (b *LM) Step(m *sim.Machine) {
 	n := m.N()
 	for p := 0; p < n; p++ {
 		lp := m.Load(p)
@@ -263,9 +263,9 @@ type Lauer struct {
 	sampler estimate.Sampler
 }
 
-var _ policy.Policy = (*Lauer)(nil)
+var _ sim.Balancer = (*Lauer)(nil)
 
-// Name implements policy.Policy.
+// Name implements sim.Balancer.
 func (b *Lauer) Name() string {
 	if b.EstimateK > 0 {
 		return fmt.Sprintf("lauer95(c=%.1f,est=%d)", b.C, b.EstimateK)
@@ -273,8 +273,8 @@ func (b *Lauer) Name() string {
 	return fmt.Sprintf("lauer95(c=%.1f)", b.C)
 }
 
-// Init implements policy.Policy.
-func (b *Lauer) Init(policy.View) {
+// Init implements sim.Balancer.
+func (b *Lauer) Init(*sim.Machine) {
 	if b.C <= 1 {
 		b.C = 2
 	}
@@ -285,8 +285,8 @@ func (b *Lauer) Init(policy.View) {
 	b.rng = xrand.New(b.Seed ^ 0x1a0e)
 }
 
-// Step implements policy.Policy.
-func (b *Lauer) Step(m policy.View) {
+// Step implements sim.Balancer.
+func (b *Lauer) Step(m *sim.Machine) {
 	n := m.N()
 	var av float64
 	if b.EstimateK > 0 {
@@ -348,21 +348,21 @@ type ThrowAir struct {
 	rng *xrand.Stream
 }
 
-var _ policy.Policy = (*ThrowAir)(nil)
+var _ sim.Balancer = (*ThrowAir)(nil)
 
-// Name implements policy.Policy.
+// Name implements sim.Balancer.
 func (b *ThrowAir) Name() string { return fmt.Sprintf("throwair(every=%d)", b.Interval) }
 
-// Init implements policy.Policy.
-func (b *ThrowAir) Init(policy.View) {
+// Init implements sim.Balancer.
+func (b *ThrowAir) Init(*sim.Machine) {
 	if b.Interval < 1 {
 		b.Interval = 4
 	}
 	b.rng = xrand.New(b.Seed ^ 0x7a1e)
 }
 
-// Step implements policy.Policy.
-func (b *ThrowAir) Step(m policy.View) {
+// Step implements sim.Balancer.
+func (b *ThrowAir) Step(m *sim.Machine) {
 	if m.Now()%int64(b.Interval) != 0 {
 		return
 	}

@@ -5,25 +5,19 @@ import (
 	"testing"
 
 	"plb/internal/gen"
-	"plb/internal/policy"
 	"plb/internal/sim"
 	"plb/internal/stats"
 )
 
-func singleMachine(t *testing.T, n int, bal policy.Policy, router policy.Router, seed uint64) *sim.Machine {
+func singleMachine(t *testing.T, n int, bal sim.Balancer, placer sim.Placer, seed uint64) *sim.Machine {
 	t.Helper()
-	cfg := sim.Config{
-		N:     n,
-		Model: gen.Single{P: 0.4, Eps: 0.1},
-		Seed:  seed,
-	}
-	if bal != nil {
-		cfg.Balancer = policy.AsBalancer(bal)
-	}
-	if router != nil {
-		cfg.Placer = policy.AsPlacer(router)
-	}
-	m, err := sim.New(cfg)
+	m, err := sim.New(sim.Config{
+		N:        n,
+		Model:    gen.Single{P: 0.4, Eps: 0.1},
+		Seed:     seed,
+		Balancer: bal,
+		Placer:   placer,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +244,7 @@ func TestAllNamesDistinct(t *testing.T) {
 
 func BenchmarkRSUStep(b *testing.B) {
 	bal := &RSU{Seed: 1}
-	m, err := sim.New(sim.Config{N: 1024, Model: gen.Single{P: 0.4, Eps: 0.1}, Balancer: policy.AsBalancer(bal), Seed: 1})
+	m, err := sim.New(sim.Config{N: 1024, Model: gen.Single{P: 0.4, Eps: 0.1}, Balancer: bal, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -262,7 +256,7 @@ func BenchmarkRSUStep(b *testing.B) {
 
 func BenchmarkGreedy2Step(b *testing.B) {
 	g, _ := NewGreedyD(2)
-	m, err := sim.New(sim.Config{N: 1024, Model: gen.Single{P: 0.4, Eps: 0.1}, Placer: policy.AsPlacer(g), Seed: 1})
+	m, err := sim.New(sim.Config{N: 1024, Model: gen.Single{P: 0.4, Eps: 0.1}, Placer: g, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

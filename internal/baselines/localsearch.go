@@ -3,7 +3,7 @@ package baselines
 import (
 	"fmt"
 
-	"plb/internal/policy"
+	"plb/internal/sim"
 	"plb/internal/xrand"
 )
 
@@ -25,21 +25,21 @@ type LocalSearch struct {
 	rng *xrand.Stream
 }
 
-var _ policy.Policy = (*LocalSearch)(nil)
+var _ sim.Balancer = (*LocalSearch)(nil)
 
-// Name implements policy.Policy.
+// Name implements sim.Balancer.
 func (b *LocalSearch) Name() string { return fmt.Sprintf("localsearch(gap=%d)", b.MinGap) }
 
-// Init implements policy.Policy.
-func (b *LocalSearch) Init(policy.View) {
+// Init implements sim.Balancer.
+func (b *LocalSearch) Init(*sim.Machine) {
 	if b.MinGap < 1 {
 		b.MinGap = 2
 	}
 	b.rng = xrand.New(b.Seed ^ 0x10c5)
 }
 
-// Step implements policy.Policy.
-func (b *LocalSearch) Step(m policy.View) {
+// Step implements sim.Balancer.
+func (b *LocalSearch) Step(m *sim.Machine) {
 	n := m.N()
 	for p := 0; p < n; p++ {
 		q := b.rng.Intn(n)

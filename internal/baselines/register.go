@@ -16,7 +16,7 @@ func init() {
 		Summary: "no balancing at all — Lemma 2's reference system",
 		Caps:    policy.Caps{Backend: "sim"},
 		Install: func(cfg *sim.Config, p policy.Params) error {
-			cfg.Balancer = policy.AsBalancer(Unbalanced{})
+			cfg.Balancer = Unbalanced{}
 			return nil
 		},
 	})
@@ -30,21 +30,24 @@ func init() {
 			if err != nil {
 				return err
 			}
-			cfg.Placer = policy.AsPlacer(g)
+			cfg.Placer = g
 			return nil
 		},
 	})
+	// The two-choice rule is ABKU's greedy process and, under
+	// continuous generation, Mitzenmacher's supermarket model: one
+	// entry, named after the model internal/supermarket solves.
 	policy.Register(policy.Spec{
-		Name:    "greedy2",
-		Aliases: []string{"greedy-d"},
-		Summary: "ABKU two-choice placement: each task joins the less loaded of 2 random probes",
+		Name:    "supermarket",
+		Aliases: []string{"greedy2", "greedy-d", "power-of-d"},
+		Summary: "Mitzenmacher's supermarket model (ABKU two-choice placement): each task joins the less loaded of 2 random probes",
 		Caps:    policy.Caps{Backend: "sim", Router: true},
 		Install: func(cfg *sim.Config, p policy.Params) error {
 			g, err := NewGreedyD(2)
 			if err != nil {
 				return err
 			}
-			cfg.Placer = policy.AsPlacer(g)
+			cfg.Placer = g
 			return nil
 		},
 	})
@@ -53,7 +56,7 @@ func init() {
 		Summary: "Rudolph-Slivkin-Allalouf-Upfal pairwise equalization, every processor every step",
 		Caps:    policy.Caps{Backend: "sim"},
 		Install: func(cfg *sim.Config, p policy.Params) error {
-			cfg.Balancer = policy.AsBalancer(&RSU{Seed: p.Seed})
+			cfg.Balancer = &RSU{Seed: p.Seed}
 			return nil
 		},
 	})
@@ -62,7 +65,7 @@ func init() {
 		Summary: "Lüling-Monien doubling trigger: equalize with k random partners when load doubles",
 		Caps:    policy.Caps{Backend: "sim"},
 		Install: func(cfg *sim.Config, p policy.Params) error {
-			cfg.Balancer = policy.AsBalancer(&LM{K: 2, Seed: p.Seed})
+			cfg.Balancer = &LM{K: 2, Seed: p.Seed}
 			return nil
 		},
 	})
@@ -71,7 +74,7 @@ func init() {
 		Summary: "Lauer's average-band activation with a known system average",
 		Caps:    policy.Caps{Backend: "sim"},
 		Install: func(cfg *sim.Config, p policy.Params) error {
-			cfg.Balancer = policy.AsBalancer(&Lauer{C: 2, Seed: p.Seed})
+			cfg.Balancer = &Lauer{C: 2, Seed: p.Seed}
 			return nil
 		},
 	})
@@ -80,7 +83,7 @@ func init() {
 		Summary: "Lauer's band activation with a sampled (k=32) average instead of an oracle",
 		Caps:    policy.Caps{Backend: "sim"},
 		Install: func(cfg *sim.Config, p policy.Params) error {
-			cfg.Balancer = policy.AsBalancer(&Lauer{C: 2, EstimateK: 32, Seed: p.Seed})
+			cfg.Balancer = &Lauer{C: 2, EstimateK: 32, Seed: p.Seed}
 			return nil
 		},
 	})
@@ -89,7 +92,7 @@ func init() {
 		Summary: "the concluding-remarks strawman: periodically scatter the whole system load",
 		Caps:    policy.Caps{Backend: "sim"},
 		Install: func(cfg *sim.Config, p policy.Params) error {
-			cfg.Balancer = policy.AsBalancer(&ThrowAir{Interval: 4, Seed: p.Seed})
+			cfg.Balancer = &ThrowAir{Interval: 4, Seed: p.Seed}
 			return nil
 		},
 	})
@@ -99,7 +102,7 @@ func init() {
 		Summary: "randomized local search: probe one partner, move a single task when the gap ≥ 2",
 		Caps:    policy.Caps{Backend: "sim"},
 		Install: func(cfg *sim.Config, p policy.Params) error {
-			cfg.Balancer = policy.AsBalancer(&LocalSearch{Seed: p.Seed})
+			cfg.Balancer = &LocalSearch{Seed: p.Seed}
 			return nil
 		},
 	})

@@ -16,7 +16,6 @@ import (
 	_ "plb/internal/core"
 	_ "plb/internal/proto"
 	_ "plb/internal/static"
-	_ "plb/internal/supermarket"
 
 	"plb/internal/engine"
 	"plb/internal/faults"

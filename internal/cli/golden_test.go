@@ -84,9 +84,9 @@ func TestGoldenDigestsViaRegistry(t *testing.T) {
 	}
 }
 
-// TestPortedPoliciesWorkerInvariance checks that the policies newly
-// ported onto the policy.View surface keep the substrate's determinism
-// guarantee: the trajectory is bit-identical at Workers 1 and 8.
+// TestPortedPoliciesWorkerInvariance checks that the registered
+// baselines keep the substrate's determinism guarantee: the trajectory
+// is bit-identical at Workers 1 and 8.
 func TestPortedPoliciesWorkerInvariance(t *testing.T) {
 	for _, name := range []string{"supermarket", "rr", "localsearch", "rsu"} {
 		name := name

@@ -16,7 +16,8 @@ func TestResolvePolicyTable(t *testing.T) {
 	cases := []struct{ flag, want string }{
 		{"", ""},
 		{"bfm98", "bfm98"},
-		{"greedy-d", "greedy2"},
+		{"greedy2", "supermarket"},
+		{"greedy-d", "supermarket"},
 		{"single-choice", "greedy1"},
 		{"round-robin", "rr"},
 		{"power-of-d", "supermarket"},
@@ -67,11 +68,16 @@ func TestEveryPolicyBackendFlagCombo(t *testing.T) {
 		{"churn", "", "", "churn:join=2,leave=2,period=40"},
 		{"detect-alone", "", "suspect=8,down=16,hb=4", ""}, // illegal everywhere
 	}
-	// The live and shmem backends and the threshold and collision
-	// policies were removed: a command line still naming one must be
-	// rejected up front, naming the flag that carries the retired name.
+	// Every spelling -policy accepts is covered, aliases included. The
+	// live and shmem backends and the threshold and collision policies
+	// were removed: a command line still naming one must be rejected
+	// up front, naming the flag that carries the retired name.
 	backends := []string{"sim", "live", "shmem", "sockets"}
-	policies := append(policy.Names(), "threshold", "collision")
+	var policies []string
+	for _, s := range policy.All() {
+		policies = append(append(policies, s.Name), s.Aliases...)
+	}
+	policies = append(policies, "threshold", "collision")
 	const n = 64
 	for _, pol := range policies {
 		for _, backend := range backends {
@@ -122,7 +128,7 @@ func retiredFlag(backend, pol string) string {
 
 // TestListPoliciesOutput sanity-checks the -list-policies table: a
 // header row plus one row per registered policy, every canonical name
-// present.
+// and every alias present.
 func TestListPoliciesOutput(t *testing.T) {
 	out := cli.ListPolicies()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
@@ -132,9 +138,15 @@ func TestListPoliciesOutput(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "policy") {
 		t.Fatalf("header = %q", lines[0])
 	}
-	for _, name := range policy.Names() {
-		if !strings.Contains(out, name) {
-			t.Fatalf("ListPolicies output missing %q", name)
+	words := map[string]bool{}
+	for _, w := range strings.FieldsFunc(out, func(r rune) bool { return r == ' ' || r == ',' || r == '\n' }) {
+		words[w] = true
+	}
+	for _, s := range policy.All() {
+		for _, name := range append([]string{s.Name}, s.Aliases...) {
+			if !words[name] {
+				t.Fatalf("ListPolicies output missing %q", name)
+			}
 		}
 	}
 }

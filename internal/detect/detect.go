@@ -91,11 +91,11 @@ type Config struct {
 	// transfers). 0 derives 8. Sizing bound: the ring must hold every
 	// block a receiver applies between a transfer's first application
 	// and the arrival of its last retransmit. A sender keeps at most
-	// one block outstanding and stops retrying after XferAttempts
-	// tries, so with a receivers applying at most one block per step
-	// over a retry horizon of XferTimeout * 2^XferAttempts steps, a
-	// ring of XferAttempts + 1 entries per plausibly-concurrent sender
-	// is safe; the default 8 covers the default 4-attempt schedule with
+	// one block outstanding and stops retrying after A tries (proto's
+	// transfer attempts, 4), so with a receivers applying at most one
+	// block per step over a retry horizon of D * 2^A steps (D the first
+	// ack deadline, 4), a ring of A + 1 entries per plausibly-concurrent
+	// sender is safe; the default 8 covers the 4-attempt schedule with
 	// two concurrent senders to spare. An undersized ring never loses
 	// tasks — a re-applied duplicate double-counts them instead, which
 	// the conservation invariant turns into a loud failure.

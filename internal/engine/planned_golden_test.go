@@ -3,6 +3,8 @@ package engine_test
 import (
 	"encoding/json"
 	"hash/fnv"
+	"sort"
+	"strings"
 	"testing"
 
 	"plb/internal/cli"
@@ -31,7 +33,6 @@ var plannedGoldens = map[string]string{
 	"burst/bfm98-phaseless":   "2464833c91fc2c99",
 	"burst/bfm98-pre":         "6cbca5e6c49c186a",
 	"burst/greedy1":           "f02d8b71a9e4003b",
-	"burst/greedy2":           "8750471b16ace6c3",
 	"burst/lauer":             "b056eb8623450cc4",
 	"burst/lauer-est":         "7cd10f3787cb3f2f",
 	"burst/lm":                "7008f80c37d4f3bc",
@@ -46,7 +47,6 @@ var plannedGoldens = map[string]string{
 	"hotspot/bfm98-phaseless": "7ed61ef75b8e8f6e",
 	"hotspot/bfm98-pre":       "0d11ad6546e62898",
 	"hotspot/greedy1":         "b1b4b5568991a036",
-	"hotspot/greedy2":         "1e9340d6e3510919",
 	"hotspot/lauer":           "84d39a2431d1794a",
 	"hotspot/lauer-est":       "e48047c7bd2cf080",
 	"hotspot/lm":              "bf4f9f41e7e80e4c",
@@ -61,7 +61,6 @@ var plannedGoldens = map[string]string{
 	"tree/bfm98-phaseless":    "31615c7d7d413d8d",
 	"tree/bfm98-pre":          "0e2017afaf4db63d",
 	"tree/greedy1":            "e552059f431cf003",
-	"tree/greedy2":            "47cebd2aa9135097",
 	"tree/lauer":              "8e67eb6d692de905",
 	"tree/lauer-est":          "7ec4a35163c19a2e",
 	"tree/lm":                 "e989e8309adfa19e",
@@ -129,6 +128,32 @@ func plannedDigest(t *testing.T, model, pol string, workers int, p policy.Params
 var plannedModels = []string{"burst", "tree", "hotspot"}
 
 func TestGoldenPlannedModels(t *testing.T) {
+	// The pins name exactly the registered sim policies, and no two of
+	// them share a digest on one model: a rule registered twice under
+	// two names shows up here.
+	registered := map[string]bool{}
+	for _, model := range plannedModels {
+		for _, pol := range policy.BackendNames("sim") {
+			registered[model+"/"+pol] = true
+		}
+	}
+	keys := make([]string, 0, len(plannedGoldens))
+	for key := range plannedGoldens {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	owner := map[string]string{}
+	for _, key := range keys {
+		if !registered[key] {
+			t.Errorf("plannedGoldens pins %s, which is no registered sim policy on a planned model", key)
+		}
+		model, pol, _ := strings.Cut(key, "/")
+		digest := model + "/" + plannedGoldens[key]
+		if other, dup := owner[digest]; dup {
+			t.Errorf("%s and %s share digest %s on %s: one rule registered twice", other, pol, plannedGoldens[key], model)
+		}
+		owner[digest] = pol
+	}
 	for _, model := range plannedModels {
 		for _, pol := range policy.BackendNames("sim") {
 			key := model + "/" + pol

@@ -6,7 +6,6 @@ import (
 	"plb/internal/baselines"
 	"plb/internal/core"
 	"plb/internal/gen"
-	"plb/internal/policy"
 	"plb/internal/sim"
 	"plb/internal/stats"
 )
@@ -37,7 +36,7 @@ func runE8(cfg RunConfig) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			return sim.New(sim.Config{N: n, Model: model, Placer: policy.AsPlacer(g), Seed: cfg.Seed + 8, Workers: cfg.Workers})
+			return sim.New(sim.Config{N: n, Model: model, Placer: g, Seed: cfg.Seed + 8, Workers: cfg.Workers})
 		}
 	}
 	mkBal := func(b func() sim.Balancer) func(n int) (*sim.Machine, error) {
@@ -60,8 +59,8 @@ func runE8(cfg RunConfig) (*Result, error) {
 			return m, err
 		}},
 		{"greedy(d=2)", mkPlaced(2)},
-		{"rsu91", mkBal(func() sim.Balancer { return policy.AsBalancer(&baselines.RSU{Seed: cfg.Seed}) })},
-		{"throwair", mkBal(func() sim.Balancer { return policy.AsBalancer(&baselines.ThrowAir{Interval: 4, Seed: cfg.Seed}) })},
+		{"rsu91", mkBal(func() sim.Balancer { return &baselines.RSU{Seed: cfg.Seed} })},
+		{"throwair", mkBal(func() sim.Balancer { return &baselines.ThrowAir{Interval: 4, Seed: cfg.Seed} })},
 	}
 
 	res := &Result{

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"plb/internal/baselines"
-	"plb/internal/policy"
 	"plb/internal/sim"
 )
 
@@ -46,10 +45,10 @@ func runE11(cfg RunConfig) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			return sim.New(sim.Config{N: n, Model: model, Placer: policy.AsPlacer(g), Seed: cfg.Seed + 11, Workers: cfg.Workers})
+			return sim.New(sim.Config{N: n, Model: model, Placer: g, Seed: cfg.Seed + 11, Workers: cfg.Workers})
 		}},
 		{"throwair", func() (*sim.Machine, error) {
-			return sim.New(sim.Config{N: n, Model: model, Balancer: policy.AsBalancer(&baselines.ThrowAir{Interval: 4, Seed: cfg.Seed}), Seed: cfg.Seed + 11, Workers: cfg.Workers})
+			return sim.New(sim.Config{N: n, Model: model, Balancer: &baselines.ThrowAir{Interval: 4, Seed: cfg.Seed}, Seed: cfg.Seed + 11, Workers: cfg.Workers})
 		}},
 	}
 	for _, e := range entries {

@@ -7,7 +7,6 @@ import (
 	"plb/internal/core"
 	"plb/internal/engine"
 	"plb/internal/node"
-	"plb/internal/policy"
 	"plb/internal/sim"
 	"plb/internal/stats"
 	"plb/internal/supermarket"
@@ -72,12 +71,12 @@ func runE12(cfg RunConfig) (*Result, error) {
 			return sim.New(sim.Config{N: n, Model: model, Balancer: b, Seed: cfg.Seed + 12, Workers: cfg.Workers})
 		}},
 		{"unbalanced", mk(nil, nil)},
-		{"greedy(d=1)", mk(nil, policy.AsPlacer(g1))},
-		{"greedy(d=2) / supermarket", mk(nil, policy.AsPlacer(g2))},
-		{"rsu91", mk(policy.AsBalancer(&baselines.RSU{Seed: cfg.Seed}), nil)},
-		{"lm93", mk(policy.AsBalancer(&baselines.LM{K: 2, Seed: cfg.Seed}), nil)},
-		{"lauer95", mk(policy.AsBalancer(&baselines.Lauer{C: 2, Seed: cfg.Seed}), nil)},
-		{"throwair", mk(policy.AsBalancer(&baselines.ThrowAir{Interval: 4, Seed: cfg.Seed}), nil)},
+		{"greedy(d=1)", mk(nil, g1)},
+		{"greedy(d=2) / supermarket", mk(nil, g2)},
+		{"rsu91", mk(&baselines.RSU{Seed: cfg.Seed}, nil)},
+		{"lm93", mk(&baselines.LM{K: 2, Seed: cfg.Seed}, nil)},
+		{"lauer95", mk(&baselines.Lauer{C: 2, Seed: cfg.Seed}, nil)},
+		{"throwair", mk(&baselines.ThrowAir{Interval: 4, Seed: cfg.Seed}, nil)},
 		{"pairwise-sock (node runtime)", func() (engine.Runner, error) {
 			return node.NewFleet(node.FleetConfig{N: fleetN, Network: "mem", Seed: cfg.Seed + 12, Model: model})
 		}},

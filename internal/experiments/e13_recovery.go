@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"plb/internal/baselines"
-	"plb/internal/policy"
 	"plb/internal/sim"
 	"plb/internal/stats"
 )
@@ -40,8 +39,8 @@ func runE13(cfg RunConfig) (*Result, error) {
 			return m, err
 		}},
 		{"unbalanced", mk(nil)},
-		{"rsu91", mk(policy.AsBalancer(&baselines.RSU{Seed: cfg.Seed}))},
-		{"throwair", mk(policy.AsBalancer(&baselines.ThrowAir{Interval: 4, Seed: cfg.Seed}))},
+		{"rsu91", mk(&baselines.RSU{Seed: cfg.Seed})},
+		{"throwair", mk(&baselines.ThrowAir{Interval: 4, Seed: cfg.Seed})},
 	}
 
 	res := &Result{

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"plb/internal/baselines"
-	"plb/internal/policy"
 	"plb/internal/sim"
 	"plb/internal/stats"
 )
@@ -45,7 +44,7 @@ func runE17(cfg RunConfig) (*Result, error) {
 		return nil, err
 	}
 	entries = append(entries, entry{"unbalanced", mu})
-	mr, err := sim.New(sim.Config{N: n, Model: singleModel(), Balancer: policy.AsBalancer(&baselines.RSU{Seed: cfg.Seed}), Seed: cfg.Seed + 17, Workers: cfg.Workers})
+	mr, err := sim.New(sim.Config{N: n, Model: singleModel(), Balancer: &baselines.RSU{Seed: cfg.Seed}, Seed: cfg.Seed + 17, Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}

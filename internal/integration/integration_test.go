@@ -11,7 +11,6 @@ import (
 	"plb/internal/baselines"
 	"plb/internal/core"
 	"plb/internal/gen"
-	"plb/internal/policy"
 	"plb/internal/proto"
 	"plb/internal/sim"
 )
@@ -51,12 +50,12 @@ func builders(t *testing.T, seed uint64) map[string]func(model gen.Model) (*sim.
 		"bfm98":      mk(cb, nil),
 		"bfm98-pre":  mk(cbPre, nil),
 		"bfm98-dist": mk(db, nil),
-		"unbalanced": mk(policy.AsBalancer(baselines.Unbalanced{}), nil),
-		"greedy2":    mk(nil, policy.AsPlacer(g2)),
-		"rsu":        mk(policy.AsBalancer(&baselines.RSU{Seed: seed}), nil),
-		"lm":         mk(policy.AsBalancer(&baselines.LM{K: 2, Seed: seed}), nil),
-		"lauer":      mk(policy.AsBalancer(&baselines.Lauer{C: 2, Seed: seed}), nil),
-		"throwair":   mk(policy.AsBalancer(&baselines.ThrowAir{Interval: 4, Seed: seed}), nil),
+		"unbalanced": mk(baselines.Unbalanced{}, nil),
+		"greedy2":    mk(nil, g2),
+		"rsu":        mk(&baselines.RSU{Seed: seed}, nil),
+		"lm":         mk(&baselines.LM{K: 2, Seed: seed}, nil),
+		"lauer":      mk(&baselines.Lauer{C: 2, Seed: seed}, nil),
+		"throwair":   mk(&baselines.ThrowAir{Interval: 4, Seed: seed}, nil),
 	}
 }
 

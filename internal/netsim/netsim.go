@@ -12,7 +12,7 @@
 // The message vocabulary lives in internal/transport (netsim keeps
 // Message as an alias under its historical name), and Network
 // implements transport.Transport. Simulated fault plans attach here
-// (SetFaults, SetGone, InjectLoss); the node runtime's real networks
+// (SetFaults, SetGone); the node runtime's real networks
 // get theirs from internal/transport/chaostrans.
 //
 // The counter-based balancer in internal/core models communication by
@@ -27,7 +27,6 @@ import (
 
 	"plb/internal/faults"
 	"plb/internal/transport"
-	"plb/internal/xrand"
 )
 
 // Message is one point-to-point datagram (transport.Message under its
@@ -55,9 +54,6 @@ type Network struct {
 
 	sendCnt  []int32 // per-sender messages in the current window
 	peakSend int
-
-	dropProb float64
-	dropRng  *xrand.Stream
 
 	// Fault injection (nil when disabled; every hook below is a nil
 	// check away from the perfect-network fast path).
@@ -91,15 +87,6 @@ func New(n int) (*Network, error) {
 // N returns the number of processors.
 func (nw *Network) N() int { return nw.n }
 
-// InjectLoss makes every subsequent Send drop the message with
-// probability p (failure injection for robustness tests; protocols on
-// netsim must tolerate loss via their retry rounds). p = 0 disables
-// loss.
-func (nw *Network) InjectLoss(p float64, seed uint64) {
-	nw.dropProb = p
-	nw.dropRng = xrand.New(seed ^ 0x10c5)
-}
-
 // SetFaults installs a fault injector: subsequent sends consult it for
 // drop/duplicate/delay verdicts, and deliveries to processors the
 // injector reports crashed are discarded. nil disables injection; with
@@ -114,7 +101,7 @@ func (nw *Network) SetFaults(inj *faults.Injector) {
 
 // Send enqueues m for delivery at the next Deliver call. It panics on
 // out-of-range endpoints (a protocol bug, not a runtime condition).
-// Sent messages count even when loss injection drops them (the sender
+// Sent messages count even when fault injection drops them (the sender
 // paid for the message either way).
 func (nw *Network) Send(m Message) {
 	if m.From < 0 || int(m.From) >= nw.n || m.To < 0 || int(m.To) >= nw.n {
@@ -127,10 +114,6 @@ func (nw *Network) Send(m Message) {
 	nw.sendCnt[m.From]++
 	if int(nw.sendCnt[m.From]) > nw.peakSend {
 		nw.peakSend = int(nw.sendCnt[m.From])
-	}
-	if nw.dropProb > 0 && nw.dropRng.Bernoulli(nw.dropProb) {
-		nw.dropped++
-		return
 	}
 	if nw.inj != nil {
 		f := nw.inj.Fate(nw.step, nw.sent, m.From, m.To)
@@ -166,9 +149,8 @@ func (nw *Network) enqueue(m Message, delay int) {
 // so a protocol on netsim should keep this O(a + c).
 func (nw *Network) PeakSendDegree() int { return nw.peakSend }
 
-// Dropped returns how many messages loss injection (InjectLoss or a
-// fault plan's drop/partition/crash verdicts) has discarded at send
-// time.
+// Dropped returns how many messages fault injection (a plan's
+// drop/partition/crash verdicts) has discarded at send time.
 func (nw *Network) Dropped() int64 { return nw.dropped }
 
 // Duplicated returns how many messages fault injection delivered twice.

@@ -134,48 +134,6 @@ func TestQuickConservation(t *testing.T) {
 	}
 }
 
-func TestInjectLoss(t *testing.T) {
-	nw, _ := New(2)
-	nw.InjectLoss(1.0, 1) // drop everything
-	for i := 0; i < 50; i++ {
-		nw.Send(Message{From: 0, To: 1})
-	}
-	nw.Deliver()
-	if len(nw.Inbox(1)) != 0 {
-		t.Fatal("full loss delivered messages")
-	}
-	if nw.Sent() != 50 || nw.Dropped() != 50 {
-		t.Fatalf("Sent=%d Dropped=%d", nw.Sent(), nw.Dropped())
-	}
-}
-
-func TestInjectLossPartial(t *testing.T) {
-	nw, _ := New(2)
-	nw.InjectLoss(0.3, 7)
-	const total = 10000
-	for i := 0; i < total; i++ {
-		nw.Send(Message{From: 0, To: 1})
-		nw.Deliver()
-	}
-	rate := float64(nw.Dropped()) / total
-	if rate < 0.25 || rate > 0.35 {
-		t.Fatalf("drop rate %v, want ~0.3", rate)
-	}
-}
-
-func TestInjectLossDisable(t *testing.T) {
-	nw, _ := New(2)
-	nw.InjectLoss(0.9, 1)
-	nw.InjectLoss(0, 1)
-	for i := 0; i < 20; i++ {
-		nw.Send(Message{From: 0, To: 1})
-	}
-	nw.Deliver()
-	if len(nw.Inbox(1)) != 20 {
-		t.Fatal("disabled loss still dropped")
-	}
-}
-
 func TestPeakSendDegree(t *testing.T) {
 	nw, _ := New(4)
 	for i := 0; i < 7; i++ {

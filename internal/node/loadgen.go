@@ -11,6 +11,10 @@ import (
 	"plb/internal/xrand"
 )
 
+// genRetryAfter is the ticks before an unacknowledged injection is
+// retried.
+const genRetryAfter = 16
+
 // GenConfig parameterizes a load-generator replay.
 type GenConfig struct {
 	// N is the fleet id space the workload spans.
@@ -27,9 +31,6 @@ type GenConfig struct {
 	Ticks int
 	// Pause is the wall-clock pause per tick (<= 0 derives 1ms).
 	Pause time.Duration
-	// RetryAfter is the ticks before an unacknowledged injection is
-	// retried (<= 0 derives 16).
-	RetryAfter int64
 	// Logf, if non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -65,9 +66,6 @@ func NewGen(tr transport.Transport, cfg GenConfig) (*Gen, error) {
 	}
 	if cfg.Pause <= 0 {
 		cfg.Pause = time.Millisecond
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 16
 	}
 	g := &Gen{
 		cfg:     cfg,
@@ -151,7 +149,7 @@ func (g *Gen) tick(generate bool) {
 		}
 	}
 	for seq, x := range g.pending {
-		if g.now-x.sentAt < g.cfg.RetryAfter {
+		if g.now-x.sentAt < genRetryAfter {
 			continue
 		}
 		x.sentAt = g.now

@@ -71,25 +71,14 @@ type Config struct {
 	Seed uint64
 	// Model, if non-nil, generates and consumes work locally (the
 	// in-process fleet). Nil means no local generation — arrivals come
-	// from the load generator — and consumption runs at ServeRate.
+	// from the load generator — and consumption runs at serveRate.
 	Model gen.Model
 	// Weigher assigns service weights to locally generated tasks (nil
 	// = unit weight).
 	Weigher gen.Weigher
-	// ServeRate is the consumption budget per tick when Model is nil
-	// (<= 0 derives 1).
-	ServeRate int
 	// Heavy is the load at which the node starts balancing (<= 0
 	// derives 2*T, T = (log log n)^2).
 	Heavy int
-	// Block caps the tasks shipped per transfer (<= 0 derives 64).
-	Block int
-	// RetryAfter is the ticks before an unacknowledged transfer or
-	// probe is retried (<= 0 derives 8).
-	RetryAfter int64
-	// Attempts bounds transfer retries before the block is requeued
-	// locally (<= 0 derives 5).
-	Attempts int
 	// Detect overrides the failure-detector tuning (zero fields keep
 	// the schedule-derived defaults).
 	Detect detect.Config
@@ -104,6 +93,18 @@ type Config struct {
 	// count, so it stays off by default for long-lived daemons.
 	Ledger bool
 }
+
+// Fixed node tuning: serveRate is the consumption budget per tick when
+// Config.Model is nil; maxShip caps the tasks shipped per transfer;
+// retryAfter is the ticks before an unacknowledged transfer or probe is
+// retried; xferAttempts bounds the sends of one transfer before its
+// block is requeued locally.
+const (
+	serveRate    = 1
+	maxShip      = 64
+	retryAfter   = 8
+	xferAttempts = 5
+)
 
 // pendingXfer is one unacknowledged outbound transfer.
 type pendingXfer struct {
@@ -204,20 +205,8 @@ func New(tr transport.Transport, cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("node: id %d outside fleet [0, %d)", cfg.ID, cfg.N)
 	}
 	t := stats.PaperT(cfg.N)
-	if cfg.ServeRate <= 0 {
-		cfg.ServeRate = 1
-	}
 	if cfg.Heavy <= 0 {
 		cfg.Heavy = 2 * t
-	}
-	if cfg.Block <= 0 {
-		cfg.Block = 64
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 8
-	}
-	if cfg.Attempts <= 0 {
-		cfg.Attempts = 5
 	}
 	// The suspect deadline scales with the fleet: a node heartbeats one
 	// random peer per cadence, so a peer's silence toward us is long in
@@ -481,7 +470,7 @@ func (n *Node) applyTransfer(m transport.Message) {
 
 // consume serves the tick's consumption budget off the queue front.
 func (n *Node) consume() {
-	want := n.cfg.ServeRate
+	want := serveRate
 	if n.cfg.Model != nil {
 		want = n.cfg.Model.WantConsume(int(n.cfg.ID), n.rng, n.now)
 	}
@@ -507,7 +496,7 @@ func (n *Node) balance() {
 	if !ok {
 		return
 	}
-	n.nextProbe = n.now + n.cfg.RetryAfter
+	n.nextProbe = n.now + retryAfter
 	n.send(transport.Message{From: n.cfg.ID, To: p, Kind: transport.KindQuery, A: int32(n.queue.Len())})
 }
 
@@ -521,7 +510,7 @@ func (n *Node) maybeShip(to int32, theirLoad int) {
 	if n.queue.Len() < n.cfg.Heavy || diff < 2 {
 		return
 	}
-	n.ship(to, minI(diff/2, n.cfg.Block))
+	n.ship(to, minI(diff/2, maxShip))
 }
 
 // ship moves k tasks from the queue tail into an acknowledged
@@ -553,13 +542,13 @@ func (n *Node) drainStep() {
 	}
 	if n.queue.Len() > 0 && len(n.inflight) == 0 {
 		if p, ok := n.pickPartner(); ok {
-			n.ship(p, minI(n.queue.Len(), n.cfg.Block))
+			n.ship(p, minI(n.queue.Len(), maxShip))
 		}
 		return
 	}
 	if n.queue.Len() == 0 && len(n.inflight) == 0 {
 		if n.leaveAt == 0 {
-			n.leaveAt = n.now + 2*n.cfg.RetryAfter
+			n.leaveAt = n.now + 2*retryAfter
 			for _, p := range n.peers {
 				n.send(transport.Message{From: n.cfg.ID, To: p, Kind: transport.KindDrain})
 			}
@@ -588,11 +577,11 @@ func (n *Node) heartbeat() {
 // retryPump resends stale transfers and requeues exhausted ones.
 func (n *Node) retryPump() {
 	for seq, x := range n.inflight {
-		if n.now-x.sentAt < n.cfg.RetryAfter {
+		if n.now-x.sentAt < retryAfter {
 			continue
 		}
 		dead := !n.active(x.to) || n.det.State(x.to) == detect.Down
-		if x.attempts >= n.cfg.Attempts || dead {
+		if x.attempts >= xferAttempts || dead {
 			// Requeue locally. If the original delivery landed and only
 			// the ack was lost this double-counts — at-least-once, which
 			// the forensic log makes attributable: the ledger joins this
@@ -618,7 +607,7 @@ func (n *Node) retryPump() {
 // probe or a drain shipment. The draw is seeded and allocation-free:
 // count the k candidates, draw r from the node's own stream, and walk
 // the id-ordered active set to the r-th candidate. It is O(n), but only
-// balance (on a heavy node, at most once per RetryAfter) and drainStep
+// balance (on a heavy node, at most once per retryAfter) and drainStep
 // call it.
 func (n *Node) pickPartner() (int32, bool) {
 	k := 0

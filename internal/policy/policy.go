@@ -1,28 +1,18 @@
-// Package policy promotes "balancing policy" to a first-class,
-// pluggable layer over the simulation substrate (ROADMAP item 3).
+// Package policy is the registry of balancing strategies (ROADMAP
+// item 3): every competing strategy — the paper's balancer
+// (internal/core), the message-passing protocol (internal/proto), the
+// Section 1.1 baselines (internal/baselines) and the static
+// balls-into-bins games (internal/static) — registers here under a
+// name, and every tool resolves names through it.
 //
-// Before this layer the repo carried competing strategies in four
-// disconnected shapes: the paper's balancer (internal/core), the
-// message-passing protocol (internal/proto), the Section 1.1 baselines
-// (internal/baselines) and the static balls-into-bins games
-// (internal/static) — each wired into tools by a hand-coded name
-// switch, and only some of them speaking the engine.Runner contract.
-// The policy layer collapses that into:
-//
-//   - Policy / Router: the two execution hooks a strategy implements.
-//     A Policy balances queues once per step over a narrow View of the
-//     machine (loads + transfers + message accounting); a Router places
-//     each newly generated task (the balls-into-bins comparison class).
-//     Strategies that need deeper machine access (the paper's phase
-//     balancer, the distributed protocol) keep implementing
-//     sim.Balancer directly and are registered all the same.
-//   - Spec / Register / Lookup: the registry. A Spec couples a name to
-//     capability flags (the backend it runs on, whether it honors
-//     fault plans, failure-detector tuning or churn schedules) and an
-//     Install hook that wires the concrete strategy into a
-//     sim.Config. Command-line validation derives every cross-flag
-//     rule from these capabilities instead of hard-coding policy
-//     names.
+// A registered strategy has one execution contract: it is a
+// sim.Balancer (balances queues once per step) or a sim.Placer (places
+// each newly generated task), written against *sim.Machine. A Spec
+// couples a name to capability flags (the backend it runs on, whether
+// it honors fault plans, failure-detector tuning or churn schedules)
+// and an Install hook that wires the strategy into a sim.Config.
+// Command-line validation derives every cross-flag rule from these
+// capabilities instead of hard-coding policy names.
 //
 // Every registered policy with an Install hook executes through
 // sim.Machine + engine.Drive, so all of them inherit Metrics.Tasks
@@ -33,91 +23,10 @@ package policy
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"plb/internal/sim"
-	"plb/internal/xrand"
 )
-
-// View is the narrow machine surface a Policy steps over: load
-// inspection, the transfer/scatter move primitives, and cost
-// accounting. *sim.Machine implements it; policies written against
-// View depend only on this contract, not on the machine internals.
-type View interface {
-	// N returns the number of processors.
-	N() int
-	// Now returns the current step count.
-	Now() int64
-	// Load returns the queue length of processor p.
-	Load(p int) int
-	// Snapshot returns the live per-processor load vector; the slice
-	// is owned by the substrate, follows every load change and must
-	// not be modified.
-	Snapshot() []int32
-	// MaxLoad and TotalLoad are the instantaneous load statistics.
-	MaxLoad() int
-	TotalLoad() int64
-	// Transfer moves up to k tasks from processor from to processor
-	// to, preserving order, and returns the number moved.
-	Transfer(from, to, k int) int
-	// Scatter re-places every queued task on a uniformly random
-	// processor (the throw-everything-in-the-air primitive).
-	Scatter(r *xrand.Stream) int64
-	// AddMessages and AddCommRounds account communication cost.
-	AddMessages(k int64)
-	AddCommRounds(k int64)
-	// Down reports whether processor p is crashed at the current step.
-	Down(p int) bool
-}
-
-var _ View = (*sim.Machine)(nil)
-
-// Policy is a balancing strategy driven once per time step, after
-// generation and consumption. Implementations balance by moving tasks
-// between queues through the View.
-type Policy interface {
-	// Name identifies the policy in experiment tables.
-	Name() string
-	// Init is called once when the machine is constructed.
-	Init(v View)
-	// Step runs the policy for one time step.
-	Step(v View)
-}
-
-// Router is a per-task routing strategy (the balls-into-bins task
-// allocation class): every newly generated task is routed to a
-// destination processor before it enqueues. Routing runs sequentially,
-// so a Router may inspect any queue length without races.
-type Router interface {
-	// Name identifies the strategy in experiment tables.
-	Name() string
-	// Init is called once when the machine is constructed.
-	Init(v View)
-	// Route returns the destination processor for a task generated at
-	// origin; r is origin's private random stream.
-	Route(v View, origin int, r *xrand.Stream) int
-}
-
-// balancerAdapter lets a View-level Policy run as a sim.Balancer.
-type balancerAdapter struct{ p Policy }
-
-func (a balancerAdapter) Name() string        { return a.p.Name() }
-func (a balancerAdapter) Init(m *sim.Machine) { a.p.Init(m) }
-func (a balancerAdapter) Step(m *sim.Machine) { a.p.Step(m) }
-
-// placerAdapter lets a View-level Router run as a sim.Placer.
-type placerAdapter struct{ r Router }
-
-func (a placerAdapter) Name() string        { return a.r.Name() }
-func (a placerAdapter) Init(m *sim.Machine) { a.r.Init(m) }
-func (a placerAdapter) Place(m *sim.Machine, origin int, rs *xrand.Stream) int {
-	return a.r.Route(m, origin, rs)
-}
-
-// AsBalancer adapts a Policy to the sim.Balancer interface.
-func AsBalancer(p Policy) sim.Balancer { return balancerAdapter{p} }
-
-// AsPlacer adapts a Router to the sim.Placer interface.
-func AsPlacer(r Router) sim.Placer { return placerAdapter{r} }
 
 // Caps declares what a registered policy supports. A flag the policy
 // does not honor is a validation error that names the offending flag
@@ -132,8 +41,9 @@ type Caps struct {
 	Detect bool
 	// Churn marks policies that honor a -churn schedule.
 	Churn bool
-	// Router marks task-allocation strategies (the policy routes
-	// fresh tasks instead of moving queued ones).
+	// Router marks task-allocation strategies: Install sets a
+	// sim.Placer, which places fresh tasks instead of moving queued
+	// ones.
 	Router bool
 	// Sparse marks policies that run on the sim backend's event-driven
 	// mode (-sparse): the policy steps against the machine's
@@ -169,9 +79,10 @@ type Spec struct {
 	Summary string
 	// Caps are the declared capabilities.
 	Caps Caps
-	// Install wires the concrete strategy into cfg (Balancer or
-	// Placer). It is nil for a backend built-in (the sockets fleet's
-	// pairwise rule) that the backend constructs itself.
+	// Install wires the concrete strategy into cfg: a sim.Balancer,
+	// or a sim.Placer when Caps.Router is set. It is nil for a backend
+	// built-in (the sockets fleet's pairwise rule) that the backend
+	// constructs itself.
 	Install func(cfg *sim.Config, p Params) error
 }
 
@@ -288,10 +199,10 @@ func DefaultName(backend string) string {
 	return ""
 }
 
-// Table renders the registry as rows for listings: name, kind,
-// backend, and a yes/— cell per capability, plus the summary.
+// Table renders the registry as rows for listings: name, aliases,
+// kind, backend, and a yes/— cell per capability, plus the summary.
 func Table() (header []string, rows [][]string) {
-	header = []string{"policy", "kind", "backend", "faults", "detect", "churn", "sparse", "summary"}
+	header = []string{"policy", "aliases", "kind", "backend", "faults", "detect", "churn", "sparse", "summary"}
 	cell := func(on bool) string {
 		if on {
 			return "yes"
@@ -306,8 +217,12 @@ func Table() (header []string, rows [][]string) {
 		if s.Install == nil {
 			kind = "built-in"
 		}
+		aka := "—"
+		if len(s.Aliases) > 0 {
+			aka = strings.Join(s.Aliases, ", ")
+		}
 		rows = append(rows, []string{
-			s.Name, kind, s.Caps.Backend,
+			s.Name, aka, kind, s.Caps.Backend,
 			cell(s.Caps.Faults), cell(s.Caps.Detect), cell(s.Caps.Churn), cell(s.Caps.Sparse),
 			s.Summary,
 		})

@@ -11,9 +11,9 @@ import (
 	_ "plb/internal/node"
 	_ "plb/internal/proto"
 	_ "plb/internal/static"
-	_ "plb/internal/supermarket"
 
 	"plb/internal/policy"
+	"plb/internal/sim"
 )
 
 func TestRegistryShape(t *testing.T) {
@@ -40,7 +40,8 @@ func TestLookupResolvesAliases(t *testing.T) {
 	for alias, want := range map[string]string{
 		"proto":         "bfm98-dist",
 		"phaseless":     "bfm98-phaseless",
-		"greedy-d":      "greedy2",
+		"greedy2":       "supermarket",
+		"greedy-d":      "supermarket",
 		"single-choice": "greedy1",
 		"round-robin":   "rr",
 		"power-of-d":    "supermarket",
@@ -81,8 +82,27 @@ func TestTableRowPerPolicy(t *testing.T) {
 		if len(row) != len(header) {
 			t.Fatalf("row %v has %d cells for %d columns", row, len(row), len(header))
 		}
-		if k := row[1]; k != "balancer" && k != "router" && k != "built-in" {
+		if k := row[2]; k != "balancer" && k != "router" && k != "built-in" {
 			t.Fatalf("policy %s has kind %q", row[0], k)
+		}
+	}
+}
+
+// TestInstallSetsOneStrategy checks the one execution contract: every
+// installable entry sets exactly one of cfg.Balancer and cfg.Placer,
+// and the Placer exactly when it declares Caps.Router (the matrix's
+// kind column).
+func TestInstallSetsOneStrategy(t *testing.T) {
+	for _, s := range policy.All() {
+		if s.Install == nil {
+			continue
+		}
+		var cfg sim.Config
+		if err := s.Install(&cfg, policy.Params{N: 64, Seed: 1}); err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		if (cfg.Balancer == nil) == (cfg.Placer == nil) || (cfg.Placer != nil) != s.Caps.Router {
+			t.Errorf("%s (router=%v) installed balancer %T and placer %T", s.Name, s.Caps.Router, cfg.Balancer, cfg.Placer)
 		}
 	}
 }

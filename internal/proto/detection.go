@@ -107,8 +107,8 @@ func (b *Balancer) faultSweep(m *sim.Machine) {
 				b.hbSent++
 			}
 		}
-		if st.xferOpen && now-st.xferSentAt >= b.xferTimeout<<(st.xferTries-1) {
-			if int(st.xferTries) >= b.xferAttempts {
+		if st.xferOpen && now-st.xferSentAt >= xferTimeout<<(st.xferTries-1) {
+			if st.xferTries >= xferAttempts {
 				// Give up: the tasks never left our queue, so "re-queue"
 				// is simply closing the record.
 				st.xferOpen = false

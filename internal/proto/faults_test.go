@@ -232,8 +232,7 @@ func TestRetriesCountedUnderLoss(t *testing.T) {
 }
 
 // TestMaxRetriesDerived: an active plan turns on the bounded-retry
-// default (Rounds+2); explicit negative keeps the unlimited paper
-// cadence; without faults the bound stays off.
+// rule (Rounds+2); without faults the bound stays off.
 func TestMaxRetriesDerived(t *testing.T) {
 	cfg := DefaultConfig(128)
 	plan := faults.Lossy(0.1)
@@ -245,16 +244,7 @@ func TestMaxRetriesDerived(t *testing.T) {
 	if b.maxRetries != cfg.Rounds+2 {
 		t.Fatalf("derived retry bound = %d, want %d", b.maxRetries, cfg.Rounds+2)
 	}
-	cfg.MaxRetries = -1
-	b, err = New(128, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.maxRetries > 0 {
-		t.Fatalf("explicit unlimited ignored: %d", b.maxRetries)
-	}
 	cfg.Faults = nil
-	cfg.MaxRetries = 0
 	b, err = New(128, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -93,13 +93,6 @@ type Config struct {
 	Seed uint64
 	// OnPhase, if non-nil, receives each completed phase's stats.
 	OnPhase func(core.PhaseStats)
-	// LossProb injects message loss: every protocol message is dropped
-	// with this probability (failure injection). The protocol degrades
-	// gracefully — a lost accept wastes one of the request's a choices,
-	// a lost id message costs the root one phase — because heavy
-	// processors simply retry next phase. Requires a transport with
-	// fault hooks (the in-memory default).
-	LossProb float64
 	// PreRound enables the Section 4.3 modification in distributed
 	// form: at the phase start every heavy processor sends one probe
 	// to a random processor; a light, unreserved processor hit by
@@ -108,35 +101,32 @@ type Config struct {
 	// schedule step (accounted for by Validate).
 	PreRound bool
 	// Faults, if non-nil and active, injects the plan's faults into
-	// the run: the network drops/duplicates/delays messages and the
-	// plan's crash schedule freezes processors (no generation, no
-	// consumption, no protocol participation; messages to them are
-	// discarded). A plan seed of zero inherits Seed. With Faults nil
-	// the balancer is byte-identical to the fault-free implementation.
-	// Requires a transport with fault hooks (the in-memory default).
+	// the run: the network drops/duplicates/delays messages (a lossy:p
+	// plan is plain message loss) and the plan's crash schedule
+	// freezes processors (no generation, no consumption, no protocol
+	// participation; messages to them are discarded). A plan seed of
+	// zero inherits Seed. With Faults nil the balancer is
+	// byte-identical to the fault-free implementation. An active plan
+	// bounds a searcher's re-query volleys per collision game to
+	// Rounds+2, so a searcher whose accepts keep vanishing stops
+	// flooding a lossy network; fault-free runs keep the paper's
+	// unbounded retry-until-level-end cadence.
 	Faults *faults.Plan
-	// MaxRetries bounds the re-query volleys a searcher sends per
-	// collision game. 0 means "derive": unlimited without faults (the
-	// paper's retry-until-level-end cadence), Rounds+2 with an active
-	// fault plan (hardening: a searcher whose accepts keep vanishing
-	// stops flooding a lossy network). Explicitly negative values mean
-	// unlimited even under faults.
-	MaxRetries int
 	// Detect overrides the failure-detector tuning used under an active
 	// fault plan; zero fields derive from the schedule (see
 	// detect.DefaultConfig) and a zero Seed derives from Seed. Ignored
 	// with Faults nil — the fault-free protocol needs no detector.
 	Detect detect.Config
-	// XferTimeout is the ack deadline (in steps) for the first attempt
-	// of an acknowledged task transfer; each retry doubles it. 0
-	// derives 4 (one network round trip plus slack). Only used under an
-	// active fault plan.
-	XferTimeout int
-	// XferAttempts bounds the send attempts per transfer block before
-	// the sender gives up and keeps the tasks (they never left its
-	// queue). 0 derives 4.
-	XferAttempts int
 }
+
+// Acknowledged task transfers (active fault plans only): the first
+// attempt's ack deadline in steps (one network round trip plus slack),
+// doubled per retry, and the send attempts per block before the sender
+// gives up and keeps the tasks (they never left its queue).
+const (
+	xferTimeout  = 4
+	xferAttempts = 4
+)
 
 // ScheduleLen returns the number of machine steps the distributed
 // protocol needs per phase for L levels and R rounds per level
@@ -193,13 +183,6 @@ func (c Config) Validate(n int) error {
 	}
 	if min := c.ScheduleSteps(); c.PhaseLen < min {
 		return fmt.Errorf("proto: phase length %d shorter than protocol schedule %d", c.PhaseLen, min)
-	}
-	if c.LossProb < 0 || c.LossProb >= 1 {
-		return fmt.Errorf("proto: loss probability %v out of [0, 1)", c.LossProb)
-	}
-	if c.XferTimeout < 0 || c.XferAttempts < 0 {
-		return fmt.Errorf("proto: transfer timeout %d and attempts %d must be >= 0",
-			c.XferTimeout, c.XferAttempts)
 	}
 	return c.Collision.Validate(n)
 }
@@ -296,7 +279,7 @@ type Balancer struct {
 	// skipped and the balancer behaves exactly as the fault-free
 	// implementation).
 	inj        *faults.Injector
-	maxRetries int // resolved retry bound; <= 0 means unlimited
+	maxRetries int // re-query bound per game: Rounds+2 under a plan, 0 (unlimited) without
 	scatterRng *xrand.Stream
 	prevDown   []bool // crash state last step, for recovery detection
 	accounted  int64  // phase messages already pushed into sim metrics
@@ -310,10 +293,8 @@ type Balancer struct {
 	mach *sim.Machine
 
 	// Acknowledged-transfer plumbing.
-	xferSeq      int32
-	xferTimeout  int64
-	xferAttempts int
-	xferDedup    int
+	xferSeq   int32
+	xferDedup int
 
 	// Elastic membership (nil unless the fault plan schedules churn or
 	// a drain batch). mem is the authoritative view layer every
@@ -359,7 +340,7 @@ func New(n int, cfg Config) (*Balancer, error) {
 	if err := cfg.Validate(n); err != nil {
 		return nil, err
 	}
-	b := &Balancer{cfg: cfg, n: n, maxRetries: cfg.MaxRetries}
+	b := &Balancer{cfg: cfg, n: n}
 	if cfg.Faults != nil {
 		plan := *cfg.Faults
 		if plan.Seed == 0 {
@@ -371,9 +352,7 @@ func New(n int, cfg Config) (*Balancer, error) {
 				return nil, err
 			}
 			b.inj = inj
-			if b.maxRetries == 0 {
-				b.maxRetries = cfg.Rounds + 2
-			}
+			b.maxRetries = cfg.Rounds + 2
 			dc := cfg.detectConfig()
 			if err := dc.Validate(); err != nil {
 				return nil, err
@@ -381,14 +360,6 @@ func New(n int, cfg Config) (*Balancer, error) {
 			b.xferDedup = dc.XferDedup
 			if b.xferDedup == 0 {
 				b.xferDedup = 8
-			}
-			b.xferTimeout = int64(cfg.XferTimeout)
-			if b.xferTimeout == 0 {
-				b.xferTimeout = 4
-			}
-			b.xferAttempts = cfg.XferAttempts
-			if b.xferAttempts == 0 {
-				b.xferAttempts = 4
 			}
 		}
 	}
@@ -484,9 +455,6 @@ func (b *Balancer) Init(m *sim.Machine) {
 		panic(err) // New validated n already
 	}
 	b.nw = nw
-	if b.cfg.LossProb > 0 {
-		b.nw.InjectLoss(b.cfg.LossProb, b.cfg.Seed)
-	}
 	if b.inj != nil {
 		b.nw.SetFaults(b.inj)
 		// The fault clock is the transport step, which runs one ahead of

@@ -5,6 +5,7 @@ import (
 
 	"plb/internal/collision"
 	"plb/internal/core"
+	"plb/internal/faults"
 	"plb/internal/gen"
 	"plb/internal/sim"
 )
@@ -277,27 +278,16 @@ func BenchmarkDistributedPhase(b *testing.B) {
 	}
 }
 
-func TestLossProbValidation(t *testing.T) {
-	cfg := DefaultConfig(256)
-	cfg.LossProb = -0.1
-	if err := cfg.Validate(256); err == nil {
-		t.Fatal("negative loss accepted")
-	}
-	cfg.LossProb = 1.0
-	if err := cfg.Validate(256); err == nil {
-		t.Fatal("loss = 1 accepted")
-	}
-}
-
 // TestDegradesGracefullyUnderMessageLoss is the failure-injection
-// test: with 20% of all protocol messages dropped, the distributed
-// balancer must still match most heavy processors and keep the load
-// bounded — lost accepts waste choices, lost ids cost a phase, but
-// heavy processors retry every phase.
+// test: with a lossy:0.2 plan dropping 20% of all protocol messages,
+// the distributed balancer must still match most heavy processors and
+// keep the load bounded — lost accepts waste choices, lost ids cost a
+// phase, but heavy processors retry every phase.
 func TestDegradesGracefullyUnderMessageLoss(t *testing.T) {
 	n := 256
 	cfg := DefaultConfig(n)
-	cfg.LossProb = 0.2
+	plan := faults.Lossy(0.2)
+	cfg.Faults = &plan
 	var heavyObs, matchedObs int64
 	cfg.OnPhase = func(ps core.PhaseStats) {
 		heavyObs += int64(ps.Heavy)
@@ -334,26 +324,6 @@ func TestDegradesGracefullyUnderMessageLoss(t *testing.T) {
 	limit := 4 * (cfg.HeavyThreshold + cfg.TransferAmount)
 	if worst > limit {
 		t.Fatalf("max load %d exceeded %d under loss", worst, limit)
-	}
-}
-
-// TestLossZeroMatchesNoInjection: LossProb = 0 must be bit-identical
-// to a config without injection.
-func TestLossZeroMatchesNoInjection(t *testing.T) {
-	run := func(inject bool) (int, sim.Metrics) {
-		cfg := DefaultConfig(128)
-		if inject {
-			cfg.LossProb = 0
-		}
-		m, _ := distMachine(t, 128, cfg, 9)
-		m.Inject(3, cfg.HeavyThreshold*2)
-		m.Run(3 * cfg.PhaseLen)
-		return m.MaxLoad(), m.Metrics()
-	}
-	m1, met1 := run(false)
-	m2, met2 := run(true)
-	if m1 != m2 || met1 != met2 {
-		t.Fatal("LossProb=0 changed behaviour")
 	}
 }
 

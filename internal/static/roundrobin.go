@@ -17,22 +17,22 @@ type RoundRobin struct {
 	next int
 }
 
-var _ policy.Router = (*RoundRobin)(nil)
+var _ sim.Placer = (*RoundRobin)(nil)
 
-// Name implements policy.Router.
+// Name implements sim.Placer.
 func (rr *RoundRobin) Name() string { return "rr" }
 
-// Init implements policy.Router.
-func (rr *RoundRobin) Init(policy.View) { rr.next = 0 }
+// Init implements sim.Placer.
+func (rr *RoundRobin) Init(*sim.Machine) { rr.next = 0 }
 
-// Route implements policy.Router.
-func (rr *RoundRobin) Route(v policy.View, _ int, _ *xrand.Stream) int {
+// Place implements sim.Placer.
+func (rr *RoundRobin) Place(m *sim.Machine, _ int, _ *xrand.Stream) int {
 	dest := rr.next
 	rr.next++
-	if rr.next == v.N() {
+	if rr.next == m.N() {
 		rr.next = 0
 	}
-	v.AddMessages(1) // one dispatch message per task
+	m.AddMessages(1) // one dispatch message per task
 	return dest
 }
 
@@ -43,7 +43,7 @@ func init() {
 		Summary: "global round-robin dispatch: task i to processor i mod n, one message per task",
 		Caps:    policy.Caps{Backend: "sim", Router: true},
 		Install: func(cfg *sim.Config, p policy.Params) error {
-			cfg.Placer = policy.AsPlacer(&RoundRobin{})
+			cfg.Placer = &RoundRobin{}
 			return nil
 		},
 	})

@@ -12,7 +12,8 @@
 // log log n / log d + O(1). For d = 1 the formula degenerates to the
 // M/M/1 geometric tail s_k = lambda^k. The experiment harness uses
 // these tails as the theory column next to the measured greedy-d
-// placer, which is the discrete-time realization of the same process.
+// placer (baselines.GreedyD; d=2 is the registered "supermarket"
+// policy), which is the discrete-time realization of the same process.
 package supermarket
 
 import (

@@ -6,7 +6,6 @@ import (
 
 	"plb/internal/baselines"
 	"plb/internal/gen"
-	"plb/internal/policy"
 	"plb/internal/sim"
 	"plb/internal/stats"
 )
@@ -90,7 +89,7 @@ func TestMeasuredTailMatchesFixedPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sim.New(sim.Config{N: n, Model: gen.Single{P: 0.4, Eps: 0.1}, Placer: policy.AsPlacer(g), Seed: 5})
+	m, err := sim.New(sim.Config{N: n, Model: gen.Single{P: 0.4, Eps: 0.1}, Placer: g, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

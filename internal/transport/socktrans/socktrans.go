@@ -90,9 +90,6 @@ type Config struct {
 	// batch its writer holds; overflow (a peer down, a client not
 	// reading) is dropped and counted. 0 derives 256.
 	QueueLen int
-	// MaxFrame bounds accepted frame bodies; 0 derives
-	// wire.DefaultMaxFrame.
-	MaxFrame int
 	// Seed derives the per-peer reconnect jitter (see backoffFor); 0
 	// keeps it (the jitter is per-address even at seed zero, so a
 	// shared default still de-synchronizes redials).
@@ -204,7 +201,6 @@ type Trans struct {
 	cfg          Config
 	ln           net.Listener
 	suspectAfter time.Duration
-	maxFrame     int
 	queueLen     int
 	dial         func(network, addr string, timeout time.Duration) (net.Conn, error)
 
@@ -248,7 +244,6 @@ func New(cfg Config) (*Trans, error) {
 	t := &Trans{
 		cfg:          cfg,
 		suspectAfter: cfg.SuspectAfter,
-		maxFrame:     cfg.MaxFrame,
 		addrs:        make(map[int32]string),
 		peers:        make(map[string]*peer),
 		conns:        make(map[*sconn]struct{}),
@@ -261,9 +256,6 @@ func New(cfg Config) (*Trans, error) {
 	}
 	if t.suspectAfter <= 0 {
 		t.suspectAfter = 5 * time.Second
-	}
-	if t.maxFrame <= 0 {
-		t.maxFrame = wire.DefaultMaxFrame
 	}
 	if t.queueLen = cfg.QueueLen; t.queueLen <= 0 {
 		t.queueLen = 256
@@ -851,7 +843,7 @@ func (t *Trans) readLoop(sc *sconn) {
 // one; without, ok is false unless a whole frame is already buffered. A
 // frame that fits the buffer is decoded in place (DecodeMessage copies
 // what it keeps); a larger one takes wire.ReadFrame's allocating path,
-// which also rejects a body over maxFrame.
+// which also rejects a body over wire.DefaultMaxFrame.
 func (t *Trans) nextFrame(br *bufio.Reader, wait bool) (m transport.Message, ok bool, err error) {
 	if !wait && br.Buffered() < 4 {
 		return m, false, nil
@@ -861,11 +853,11 @@ func (t *Trans) nextFrame(br *bufio.Reader, wait bool) (m transport.Message, ok 
 		return m, false, err
 	}
 	end := 4 + int(binary.BigEndian.Uint32(hdr))
-	if end-4 > t.maxFrame || end > br.Size() {
+	if end-4 > wire.DefaultMaxFrame || end > br.Size() {
 		if !wait {
 			return m, false, nil
 		}
-		m, err = wire.ReadFrame(br, t.maxFrame)
+		m, err = wire.ReadFrame(br, wire.DefaultMaxFrame)
 		return m, err == nil, err
 	}
 	if !wait && br.Buffered() < end {

@@ -34,7 +34,6 @@ import (
 	"plb/internal/core"
 	"plb/internal/engine"
 	"plb/internal/gen"
-	"plb/internal/policy"
 	"plb/internal/proto"
 	"plb/internal/sim"
 	"plb/internal/stats"
@@ -155,7 +154,7 @@ func RunCollision(n int, requesters []int32, p CollisionParams, seed uint64, max
 // Baseline constructors (Section 1.1's related work, for comparisons).
 
 // NewUnbalanced returns the no-op balancer.
-func NewUnbalanced() Balancer { return policy.AsBalancer(baselines.Unbalanced{}) }
+func NewUnbalanced() Balancer { return baselines.Unbalanced{} }
 
 // NewGreedyPlacer returns the d-choice balls-into-bins placer (d=1:
 // classic single choice; d>=2: ABKU greedy / supermarket model).
@@ -164,26 +163,26 @@ func NewGreedyPlacer(d int) (Placer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return policy.AsPlacer(g), nil
+	return g, nil
 }
 
 // NewRSU returns Rudolph-Slivkin-Allalouf-Upfal pairwise equalization.
-func NewRSU(seed uint64) Balancer { return policy.AsBalancer(&baselines.RSU{Seed: seed}) }
+func NewRSU(seed uint64) Balancer { return &baselines.RSU{Seed: seed} }
 
 // NewLM returns Lüling-Monien load-doubling-triggered equalization
 // with k random partners.
-func NewLM(k int, seed uint64) Balancer { return policy.AsBalancer(&baselines.LM{K: k, Seed: seed}) }
+func NewLM(k int, seed uint64) Balancer { return &baselines.LM{K: k, Seed: seed} }
 
 // NewLauer returns Lauer's average-band algorithm with activation
 // factor c.
 func NewLauer(c float64, seed uint64) Balancer {
-	return policy.AsBalancer(&baselines.Lauer{C: c, Seed: seed})
+	return &baselines.Lauer{C: c, Seed: seed}
 }
 
 // NewThrowAir returns the redistribute-everything strawman with the
 // given period.
 func NewThrowAir(interval int, seed uint64) Balancer {
-	return policy.AsBalancer(&baselines.ThrowAir{Interval: interval, Seed: seed})
+	return &baselines.ThrowAir{Interval: interval, Seed: seed}
 }
 
 // PaperT returns T = (log log n)^2 (rounded, floored at 1) — the
