@@ -127,6 +127,11 @@ func plannedDigest(t *testing.T, model, pol string, workers int, p policy.Params
 
 var plannedModels = []string{"burst", "tree", "hotspot"}
 
+// plannedAliases are names that were registered entries of their own
+// before they became aliases. Their subtests stay, and each must
+// reproduce the digest pinned under its canonical entry.
+var plannedAliases = []string{"greedy2"}
+
 func TestGoldenPlannedModels(t *testing.T) {
 	// The pins name exactly the registered sim policies, and no two of
 	// them share a digest on one model: a rule registered twice under
@@ -154,13 +159,18 @@ func TestGoldenPlannedModels(t *testing.T) {
 		}
 		owner[digest] = pol
 	}
+	for _, alias := range plannedAliases {
+		if canon, ok := policy.Canonical(alias); !ok || canon == alias {
+			t.Errorf("%s is no alias of a registered policy", alias)
+		}
+	}
 	for _, model := range plannedModels {
-		for _, pol := range policy.BackendNames("sim") {
-			key := model + "/" + pol
-			t.Run(key, func(t *testing.T) {
+		for _, pol := range append(policy.BackendNames("sim"), plannedAliases...) {
+			canon, _ := policy.Canonical(pol)
+			t.Run(model+"/"+pol, func(t *testing.T) {
 				for _, w := range []int{1, 8} {
 					got := plannedDigest(t, model, pol, w, policy.Params{N: plannedN, Seed: plannedSeed})
-					if want, ok := plannedGoldens[key]; !ok || got != want {
+					if want, ok := plannedGoldens[model+"/"+canon]; !ok || got != want {
 						t.Errorf("workers=%d: digest %s, pinned %q", w, got, want)
 					}
 				}
