@@ -23,20 +23,18 @@
 // request has two accepted queries and no processor is assigned more
 // than one, w.h.p.
 //
-// The kernel is data-parallel: within a round, a processor's accept
-// decision is a pure function of its cumulative accept count and this
-// round's arrival count, so arrival counting and acceptance are
-// sharded over par.Ranges with per-shard private buffers and a
-// deterministic shard-order merge. Results are bit-identical for every
-// worker count (including 1). Scratch makes repeated executions
-// allocation-free in steady state.
+// One sequential kernel plays every round: within a round, a
+// processor's accept decision is a pure function of its cumulative
+// accept count and this round's arrival count, both held in n-sized
+// arrays (5 B per processor), so the order in which queries are
+// evaluated cannot change the outcome. Scratch makes repeated
+// executions allocation-free in steady state.
 package collision
 
 import (
 	"fmt"
 	"math"
 
-	"plb/internal/par"
 	"plb/internal/xrand"
 )
 
@@ -48,7 +46,8 @@ type Params struct {
 	// B is the number of accepted queries a request needs (b < a).
 	B int
 	// C is the collision value: the maximum number of queries any
-	// processor answers.
+	// processor answers. At most 127: the kernel keeps each
+	// processor's accept count in an int8.
 	C int
 }
 
@@ -72,8 +71,8 @@ func (p Params) Validate(n int) error {
 	if p.B < 1 || p.B >= p.A {
 		return fmt.Errorf("collision: need 1 <= b < a, got a=%d b=%d", p.A, p.B)
 	}
-	if p.C < 1 {
-		return fmt.Errorf("collision: need c >= 1, got c=%d", p.C)
+	if p.C < 1 || p.C > math.MaxInt8 {
+		return fmt.Errorf("collision: need 1 <= c <= %d, got c=%d", math.MaxInt8, p.C)
 	}
 	if p.A > n-1 {
 		return fmt.Errorf("collision: a=%d exceeds available targets (n=%d)", p.A, n)
@@ -125,37 +124,15 @@ type Result struct {
 	// AllSatisfied reports whether every request was satisfied.
 	AllSatisfied bool
 	// AcceptCount[p] is the number of queries processor p accepted;
-	// the protocol guarantees AcceptCount[p] <= c. It is nil when the
-	// execution used the sparse counter arena (n >= SparseProcs): at
-	// frontier sizes an O(n) counter array per Scratch would dominate
-	// memory, so the per-processor counters live in maps keyed only by
-	// the processors actually probed.
+	// the protocol guarantees 0 <= AcceptCount[p] <= c.
 	AcceptCount []int8
 }
 
-// parMinActive is the smallest active-request count for which the
-// sharded round kernel beats the sequential one; below it a round runs
-// inline. The cutover is invisible in the results (both paths are
-// bit-identical), it only moves the constant.
-const parMinActive = 256
-
-// SparseProcs is the processor count at or above which Run switches to
-// the sparse counter arena: map-based per-processor counters sized by
-// the touched set instead of O(n) arrays (at n=2^27 the arrays alone
-// would cost ~0.7 GB per Scratch). Every accept decision is a pure
-// function of the counter values, so the storage change is invisible
-// in the results — a test pins both arenas to identical outcomes. The
-// sparse arena always runs rounds inline (Lemma 4 keeps the request
-// count tiny at these sizes, so the sharded kernel has nothing to
-// win). Variable only so tests can lower it.
-var SparseProcs = 1 << 21
-
 // Scratch holds the collision kernel's reusable working memory: the
 // fixed random choices, per-choice accept flags, the Result backing
-// arrays, the per-processor arrival/accept counters, and the per-shard
-// private buffers of the parallel round kernel. The zero value is
-// ready to use; after the first Run at a given size, subsequent Runs
-// at the same (or smaller) size perform no heap allocations.
+// arrays and the per-processor arrival/accept counters. The zero value
+// is ready to use; after the first Run at a given size, subsequent
+// Runs at the same (or smaller) size perform no heap allocations.
 type Scratch struct {
 	// Per-request state, a = Params.A entries per request, flat.
 	choices   []int32   // choices[i*a+j]: j-th target of request i
@@ -166,31 +143,11 @@ type Scratch struct {
 	active    []int // indices of still-unsatisfied requests
 	sample    []int // SampleDistinct output buffer
 
-	// Per-processor state (array arena, n < SparseProcs).
+	// Per-processor state, n entries each.
 	acceptCnt []int8  // cumulative accepts (Result.AcceptCount)
 	arrivals  []int32 // queries delivered this round
 	touched   []int32 // arrivals entries to reset after the round
 	dirty     []int32 // acceptCnt entries dirtied, cleared on next Run
-
-	// Sparse counter arena (n >= SparseProcs): same counters, keyed by
-	// the probed processors only.
-	acceptMap  map[int32]int8
-	arrivalMap map[int32]int32
-
-	// Per-shard private buffers of the parallel kernel.
-	shardArrivals [][]int32
-	shardTouched  [][]int32
-	shardCounts   []int64
-
-	// Round-kernel dispatch state: the shard closures are created once
-	// (first sharded round) and capture only the Scratch, reading the
-	// round's inputs from these fields — so dispatching a round
-	// allocates nothing.
-	curActive []int
-	curA      int
-	curC      int
-	countFn   func(sh, lo, hi int)
-	acceptFn  func(sh, lo, hi int)
 }
 
 // Run executes the protocol among n processors for the given
@@ -201,29 +158,21 @@ type Scratch struct {
 // Run panics if params fail Validate; callers are expected to
 // validate configuration at setup time.
 //
-// Run allocates a fresh execution's worth of memory and runs the
-// rounds sequentially; hot paths that execute the protocol repeatedly
-// should hold a Scratch and call its Run method, which reuses buffers
-// and shards the rounds over a worker pool. Both produce bit-identical
-// results for the same stream.
+// Run allocates a fresh execution's worth of memory; hot paths that
+// execute the protocol repeatedly should hold a Scratch and call its
+// Run method, which reuses buffers. Both produce identical results for
+// the same stream.
 func Run(n int, requesters []int32, p Params, r *xrand.Stream, maxRounds int) Result {
 	var s Scratch
-	return s.Run(n, requesters, p, r, maxRounds, 1)
+	return s.Run(n, requesters, p, r, maxRounds)
 }
 
 // Run executes the protocol exactly as the package-level Run does,
-// reusing the Scratch's buffers and sharding each round's arrival
-// counting and acceptance over workers par shards (workers <= 0:
-// GOMAXPROCS). The returned Result views the Scratch's memory and is
-// valid until the next Run on the same Scratch.
-//
-// Determinism: the random choices are drawn from r in request order
-// exactly as in the sequential kernel; within a round every accept
-// decision is a pure function of state fixed before the round's
-// parallel section, and per-shard arrival counts merge in shard order
-// by addition. Results are therefore bit-identical for every worker
-// count.
-func (s *Scratch) Run(n int, requesters []int32, p Params, r *xrand.Stream, maxRounds, workers int) Result {
+// reusing the Scratch's buffers. The random choices are drawn from r
+// in request order, once, before the first round. The returned Result
+// views the Scratch's memory and is valid until the next Run on the
+// same Scratch.
+func (s *Scratch) Run(n int, requesters []int32, p Params, r *xrand.Stream, maxRounds int) Result {
 	if err := p.Validate(n); err != nil {
 		panic(err)
 	}
@@ -233,44 +182,25 @@ func (s *Scratch) Run(n int, requesters []int32, p Params, r *xrand.Stream, maxR
 	nr := len(requesters)
 	a := p.A
 
-	sparseArena := n >= SparseProcs
-	if sparseArena {
-		if s.acceptMap == nil {
-			s.acceptMap = make(map[int32]int8)
-			s.arrivalMap = make(map[int32]int32)
-		} else {
-			clear(s.acceptMap)
-			clear(s.arrivalMap)
-		}
-	} else {
-		// Clear the processor counters dirtied by the previous Run (the
-		// arrival counters are already zero: every round resets the
-		// entries it touched).
-		if s.acceptCnt != nil {
-			full := s.acceptCnt[:cap(s.acceptCnt)]
-			for _, t := range s.dirty {
-				full[t] = 0
-			}
-		}
-		s.dirty = s.dirty[:0]
-		if cap(s.acceptCnt) < n {
-			s.acceptCnt = make([]int8, n)
-		} else {
-			s.acceptCnt = s.acceptCnt[:n]
-		}
-		if cap(s.arrivals) < n {
-			s.arrivals = make([]int32, n)
-		} else {
-			s.arrivals = s.arrivals[:n]
-		}
+	// Clear the processor counters dirtied by the previous Run (the
+	// arrival counters are already zero: every round resets the
+	// entries it touched).
+	full := s.acceptCnt[:cap(s.acceptCnt)]
+	for _, t := range s.dirty {
+		full[t] = 0
 	}
+	s.dirty = s.dirty[:0]
+	if cap(s.acceptCnt) < n {
+		s.acceptCnt = make([]int8, n)
+	} else {
+		s.acceptCnt = s.acceptCnt[:n]
+	}
+	s.arrivals = growI32(s.arrivals, n)
 
 	res := Result{
-		Accepted:  growHdr(&s.accHdr, nr),
-		Satisfied: growBool(&s.satisfied, nr),
-	}
-	if !sparseArena {
-		res.AcceptCount = s.acceptCnt
+		Accepted:    growHdr(&s.accHdr, nr),
+		Satisfied:   growBool(&s.satisfied, nr),
+		AcceptCount: s.acceptCnt,
 	}
 	if nr == 0 {
 		res.AllSatisfied = true
@@ -278,8 +208,7 @@ func (s *Scratch) Run(n int, requesters []int32, p Params, r *xrand.Stream, maxR
 	}
 
 	// Random choices: fixed once, reused every round, drawn from r in
-	// request order (the stream consumption matches the sequential
-	// kernel exactly).
+	// request order.
 	need := nr * a
 	s.choices = growI32(s.choices, need)
 	s.accBack = growI32(s.accBack, need)
@@ -310,33 +239,17 @@ func (s *Scratch) Run(n int, requesters []int32, p Params, r *xrand.Stream, maxR
 
 	for round := 0; round < maxRounds && len(active) > 0; round++ {
 		res.Rounds++
-		switch {
-		case sparseArena:
-			res.Messages += s.runRoundInlineMap(active, p)
-		case workers != 1 && len(active) >= parMinActive && par.NumShards(len(active), workers) > 1:
-			res.Messages += s.runRoundSharded(active, p, workers)
-		default:
-			res.Messages += s.runRoundInline(active, p)
-		}
+		res.Messages += s.runRound(active, p)
 		// Commit this round's accepts and reset the arrival counters:
 		// a target that stayed within c accepted all of its arrivals.
-		if sparseArena {
-			for _, tgt := range s.touched {
-				if int(s.acceptMap[tgt])+int(s.arrivalMap[tgt]) <= p.C {
-					s.acceptMap[tgt] += int8(s.arrivalMap[tgt])
+		for _, tgt := range s.touched {
+			if int(s.acceptCnt[tgt])+int(s.arrivals[tgt]) <= p.C {
+				if s.acceptCnt[tgt] == 0 {
+					s.dirty = append(s.dirty, tgt)
 				}
-				delete(s.arrivalMap, tgt)
+				s.acceptCnt[tgt] += int8(s.arrivals[tgt])
 			}
-		} else {
-			for _, tgt := range s.touched {
-				if int(s.acceptCnt[tgt])+int(s.arrivals[tgt]) <= p.C {
-					if s.acceptCnt[tgt] == 0 {
-						s.dirty = append(s.dirty, tgt)
-					}
-					s.acceptCnt[tgt] += int8(s.arrivals[tgt])
-				}
-				s.arrivals[tgt] = 0
-			}
+			s.arrivals[tgt] = 0
 		}
 		s.touched = s.touched[:0]
 		// Requests with >= b accepts leave the game.
@@ -355,12 +268,12 @@ func (s *Scratch) Run(n int, requesters []int32, p Params, r *xrand.Stream, maxR
 	return res
 }
 
-// runRoundInline is the sequential round kernel: deliver queries, then
-// accept or collide. The accept decision for a query at tgt is a pure
-// function of (acceptCnt[tgt], arrivals[tgt]), both fixed before the
-// acceptance pass, so iteration order is irrelevant to the outcome.
-// It returns the round's message count.
-func (s *Scratch) runRoundInline(active []int, p Params) int64 {
+// runRound plays one round: deliver queries, then accept or collide.
+// The accept decision for a query at tgt is a pure function of
+// (acceptCnt[tgt], arrivals[tgt]), both fixed before the acceptance
+// pass, so iteration order is irrelevant to the outcome. It returns
+// the round's message count.
+func (s *Scratch) runRound(active []int, p Params) int64 {
 	a := p.A
 	var msgs int64
 	for _, i := range active {
@@ -392,156 +305,6 @@ func (s *Scratch) runRoundInline(active []int, p Params) int64 {
 		}
 	}
 	return msgs
-}
-
-// runRoundInlineMap is runRoundInline over the sparse counter arena:
-// identical logic, map-addressed counters. Accept decisions are pure
-// functions of (acceptCnt, arrivals), so the two arenas produce
-// bit-identical results.
-func (s *Scratch) runRoundInlineMap(active []int, p Params) int64 {
-	a := p.A
-	var msgs int64
-	for _, i := range active {
-		base := i * a
-		for j := 0; j < a; j++ {
-			if s.accepted[base+j] {
-				continue
-			}
-			tgt := s.choices[base+j]
-			if s.arrivalMap[tgt] == 0 {
-				s.touched = append(s.touched, tgt)
-			}
-			s.arrivalMap[tgt]++
-			msgs++
-		}
-	}
-	for _, i := range active {
-		base := i * a
-		for j := 0; j < a; j++ {
-			if s.accepted[base+j] {
-				continue
-			}
-			tgt := s.choices[base+j]
-			if int(s.acceptMap[tgt])+int(s.arrivalMap[tgt]) <= p.C {
-				s.accepted[base+j] = true
-				s.accHdr[i] = append(s.accHdr[i], tgt)
-				msgs++ // accept message
-			}
-		}
-	}
-	return msgs
-}
-
-// runRoundSharded is the parallel round kernel. Arrival counting
-// shards the active requests over private per-shard counters that
-// merge into the global counters in shard order; since the merge is
-// pure addition, the totals equal the sequential kernel's for any
-// shard count. Acceptance then shards again: each decision reads only
-// the (now frozen) global counters and writes request-private state.
-// It returns the round's message count.
-func (s *Scratch) runRoundSharded(active []int, p Params, workers int) int64 {
-	shards := par.NumShards(len(active), workers)
-	s.ensureShards(shards, len(s.arrivals))
-	s.curActive = active
-	s.curA = p.A
-	s.curC = p.C
-	if s.countFn == nil {
-		s.countFn = s.countShard
-		s.acceptFn = s.acceptShard
-	}
-
-	var msgs int64
-	par.Ranges(len(active), workers, s.countFn)
-	for sh := 0; sh < shards; sh++ {
-		msgs += s.shardCounts[sh]
-		arr := s.shardArrivals[sh]
-		for _, tgt := range s.shardTouched[sh] {
-			if s.arrivals[tgt] == 0 {
-				s.touched = append(s.touched, tgt)
-			}
-			s.arrivals[tgt] += arr[tgt]
-			arr[tgt] = 0 // restore the all-zero shard-buffer invariant
-		}
-	}
-
-	par.Ranges(len(active), workers, s.acceptFn)
-	for sh := 0; sh < shards; sh++ {
-		msgs += s.shardCounts[sh]
-	}
-	return msgs
-}
-
-// countShard is the arrival-counting shard body: queries of the
-// shard's active requests are tallied into the shard's private
-// counters.
-func (s *Scratch) countShard(sh, lo, hi int) {
-	a := s.curA
-	arr := s.shardArrivals[sh]
-	tch := s.shardTouched[sh][:0]
-	var msgs int64
-	for k := lo; k < hi; k++ {
-		base := s.curActive[k] * a
-		for j := 0; j < a; j++ {
-			if s.accepted[base+j] {
-				continue
-			}
-			tgt := s.choices[base+j]
-			if arr[tgt] == 0 {
-				tch = append(tch, tgt)
-			}
-			arr[tgt]++
-			msgs++
-		}
-	}
-	s.shardTouched[sh] = tch
-	s.shardCounts[sh] = msgs
-}
-
-// acceptShard is the acceptance shard body: decisions read only the
-// frozen global counters and write request-private state.
-func (s *Scratch) acceptShard(sh, lo, hi int) {
-	a := s.curA
-	var msgs int64
-	for k := lo; k < hi; k++ {
-		i := s.curActive[k]
-		base := i * a
-		for j := 0; j < a; j++ {
-			if s.accepted[base+j] {
-				continue
-			}
-			tgt := s.choices[base+j]
-			if int(s.acceptCnt[tgt])+int(s.arrivals[tgt]) <= s.curC {
-				s.accepted[base+j] = true
-				s.accHdr[i] = append(s.accHdr[i], tgt)
-				msgs++ // accept message
-			}
-		}
-	}
-	s.shardCounts[sh] = msgs
-}
-
-// ensureShards sizes the per-shard buffers for shards shards over n
-// processors. Shard arrival buffers hold the all-zero invariant
-// between rounds, so reslicing within capacity needs no clearing.
-func (s *Scratch) ensureShards(shards, n int) {
-	if len(s.shardArrivals) < shards {
-		arr := make([][]int32, shards)
-		copy(arr, s.shardArrivals)
-		s.shardArrivals = arr
-		tch := make([][]int32, shards)
-		copy(tch, s.shardTouched)
-		s.shardTouched = tch
-	}
-	if len(s.shardCounts) < shards {
-		s.shardCounts = make([]int64, shards)
-	}
-	for i := 0; i < shards; i++ {
-		if cap(s.shardArrivals[i]) < n {
-			s.shardArrivals[i] = make([]int32, n)
-		} else {
-			s.shardArrivals[i] = s.shardArrivals[i][:n]
-		}
-	}
 }
 
 // growI32 reslices buf to n entries, reallocating when capacity is

@@ -21,6 +21,8 @@ func TestValidate(t *testing.T) {
 		{"b-zero", Params{A: 5, B: 0, C: 1}, 100, false},
 		{"b-ge-a", Params{A: 3, B: 3, C: 1}, 100, false},
 		{"c-zero", Params{A: 5, B: 2, C: 0}, 100, false},
+		{"c-max", Params{A: 129, B: 2, C: 127}, 130, true},
+		{"c-exceeds-int8", Params{A: 129, B: 2, C: 200}, 130, false}, // condition (1) holds, the int8 counters would wrap
 		{"a-exceeds-n", Params{A: 5, B: 2, C: 1}, 5, false},
 		{"cond1-violated", Params{A: 3, B: 2, C: 1}, 100, false}, // c^2(a-b)/(c+1) = 1/2
 		{"cond1-c2", Params{A: 3, B: 2, C: 2}, 100, true},        // 4/3 > 1
@@ -293,6 +295,28 @@ func TestHigherCollisionValue(t *testing.T) {
 	}
 }
 
+func TestMaxCollisionValue(t *testing.T) {
+	// c = 127 is the largest value the int8 accept counters hold: 127
+	// requesters each query every other processor of 130, so a
+	// non-requester receives exactly 127 queries and must accept them
+	// all without its counter wrapping.
+	const n = 130
+	p := Params{A: n - 1, B: 2, C: 127}
+	requesters := make([]int32, 127)
+	for i := range requesters {
+		requesters[i] = int32(i)
+	}
+	res := Run(n, requesters, p, xrand.New(31), 0)
+	if !res.AllSatisfied || res.Rounds != 1 {
+		t.Fatalf("uncontended c=127 game: satisfied=%v rounds=%d", res.AllSatisfied, res.Rounds)
+	}
+	for proc := 127; proc < n; proc++ {
+		if res.AcceptCount[proc] != 127 {
+			t.Fatalf("processor %d accepted %d, want 127", proc, res.AcceptCount[proc])
+		}
+	}
+}
+
 // sampleRequesters draws nReq distinct requester ids out of n from r.
 func sampleRequesters(r *xrand.Stream, nReq, n int) []int32 {
 	buf := make([]int, nReq)
@@ -355,11 +379,9 @@ func cloneResult(res Result) Result {
 	return out
 }
 
-func TestScratchMatchesRunAcrossWorkers(t *testing.T) {
-	// The tentpole's oracle at kernel granularity: the Scratch kernel
-	// must be bit-identical to the package-level sequential Run for
-	// every worker count, including instances large enough to take the
-	// sharded round path (nReq >= parMinActive).
+func TestScratchMatchesRun(t *testing.T) {
+	// A reused Scratch must reproduce the package-level Run bit for
+	// bit, from small games to contended multi-round ones.
 	p := Lemma1Params()
 	cases := []struct {
 		n, nReq int
@@ -367,21 +389,18 @@ func TestScratchMatchesRunAcrossWorkers(t *testing.T) {
 	}{
 		{64, 8, 1},
 		{1024, 64, 2},
-		{4096, 700, 3},  // above parMinActive: sharded rounds
+		{4096, 700, 3},
 		{8192, 1200, 4}, // heavier contention, multiple rounds
 	}
 	for _, c := range cases {
 		ref := Run(c.n, sampleRequesters(xrand.New(c.seed), c.nReq, c.n), p, xrand.New(^c.seed), 0)
-		for _, workers := range []int{1, 2, 3, 8} {
-			var s Scratch
-			// Run twice on the same Scratch: the second pass exercises
-			// the buffer-reuse (dirty-clearing) path.
-			for pass := 0; pass < 2; pass++ {
-				reqs := sampleRequesters(xrand.New(c.seed), c.nReq, c.n)
-				got := s.Run(c.n, reqs, p, xrand.New(^c.seed), 0, workers)
-				tag := fmt.Sprintf("n=%d nReq=%d workers=%d pass=%d", c.n, c.nReq, workers, pass)
-				resultsEqual(t, tag, ref, got)
-			}
+		var s Scratch
+		// Run twice on the same Scratch: the second pass exercises
+		// the buffer-reuse (dirty-clearing) path.
+		for pass := 0; pass < 2; pass++ {
+			reqs := sampleRequesters(xrand.New(c.seed), c.nReq, c.n)
+			got := s.Run(c.n, reqs, p, xrand.New(^c.seed), 0)
+			resultsEqual(t, fmt.Sprintf("n=%d nReq=%d pass=%d", c.n, c.nReq, pass), ref, got)
 		}
 	}
 }
@@ -399,32 +418,31 @@ func TestScratchReuseAcrossSizes(t *testing.T) {
 		seed := uint64(pass + 1)
 		reqs := sampleRequesters(xrand.New(seed), c.nReq, c.n)
 		ref := Run(c.n, sampleRequesters(xrand.New(seed), c.nReq, c.n), p, xrand.New(^seed), 0)
-		got := s.Run(c.n, reqs, p, xrand.New(^seed), 0, 4)
+		got := s.Run(c.n, reqs, p, xrand.New(^seed), 0)
 		resultsEqual(t, fmt.Sprintf("pass=%d n=%d nReq=%d", pass, c.n, c.nReq), ref, got)
 	}
 }
 
 func TestScratchZeroAllocSteadyState(t *testing.T) {
 	// The zero-alloc claim: after a warm-up Run, repeated Runs at the
-	// same size allocate nothing, on both the inline and sharded paths.
+	// same size allocate nothing, up to frontier n.
 	p := Lemma1Params()
 	for _, c := range []struct {
 		name    string
 		n, nReq int
-		workers int
 	}{
-		{"inline", 1024, 100, 1},
-		{"sharded", 4096, 700, 4},
+		{"inline", 1024, 100},
+		{"n=2^22", 1 << 22, 4096},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var s Scratch
 			reqs := sampleRequesters(xrand.New(7), c.nReq, c.n)
 			r0 := *xrand.New(99) // value copy: reset the stream without allocating
 			r := r0
-			s.Run(c.n, reqs, p, &r, 0, c.workers) // warm up
+			s.Run(c.n, reqs, p, &r, 0) // warm up
 			allocs := testing.AllocsPerRun(10, func() {
 				r = r0
-				s.Run(c.n, reqs, p, &r, 0, c.workers)
+				s.Run(c.n, reqs, p, &r, 0)
 			})
 			if allocs != 0 {
 				t.Fatalf("steady-state Scratch.Run allocated %.1f times per run", allocs)
@@ -447,28 +465,26 @@ func BenchmarkRunLemma1(b *testing.B) {
 	}
 }
 
-// BenchmarkCollisionRun measures the Scratch kernel at the ISSUE's
-// reference sizes with a Lemma-1 request load (n/(4a) requesters, the
-// operating point the balancer actually produces). allocs/op must be 0
-// in steady state — run with -benchmem.
+// BenchmarkCollisionRun measures the Scratch kernel with a Lemma-1
+// request load (n/(4a) requesters, the operating point the balancer
+// actually produces), up to n=2^22. allocs/op must be 0 in steady
+// state — run with -benchmem.
 func BenchmarkCollisionRun(b *testing.B) {
 	p := Lemma1Params()
-	for _, n := range []int{1 << 10, 1 << 16, 1 << 18} {
+	for _, n := range []int{1 << 10, 1 << 16, 1 << 18, 1 << 22} {
 		nReq := n / (4 * p.A)
 		reqs := sampleRequesters(xrand.New(31), nReq, n)
-		for _, workers := range []int{1, 2, 8} {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
-				var s Scratch
-				r0 := *xrand.New(63)
-				r := r0
-				s.Run(n, reqs, p, &r, 0, workers) // warm up
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					r = r0
-					s.Run(n, reqs, p, &r, 0, workers)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			var s Scratch
+			r0 := *xrand.New(63)
+			r := r0
+			s.Run(n, reqs, p, &r, 0) // warm up
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r = r0
+				s.Run(n, reqs, p, &r, 0)
+			}
+		})
 	}
 }

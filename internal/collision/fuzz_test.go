@@ -1,7 +1,6 @@
 package collision
 
 import (
-	"fmt"
 	"testing"
 
 	"plb/internal/xrand"
@@ -35,8 +34,8 @@ func FuzzRunInvariants(f *testing.F) {
 		}
 		res := Run(n, requesters, p, r, 0)
 		for proc, cnt := range res.AcceptCount {
-			if int(cnt) > p.C {
-				t.Fatalf("processor %d accepted %d > c=%d", proc, cnt, p.C)
+			if cnt < 0 || int(cnt) > p.C {
+				t.Fatalf("processor %d accepted %d, want 0..c=%d", proc, cnt, p.C)
 			}
 		}
 		for i := range requesters {
@@ -57,22 +56,6 @@ func FuzzRunInvariants(f *testing.F) {
 		}
 		if res.Rounds > p.DefaultRounds(n) {
 			t.Fatalf("rounds %d exceeded budget", res.Rounds)
-		}
-		// The parallel Scratch kernel must reproduce the sequential
-		// result bit for bit at every worker count.
-		for _, workers := range []int{2, 8} {
-			var s Scratch
-			r2 := xrand.New(seed)
-			reqs2 := make([]int32, nReq)
-			if nReq > 0 {
-				buf := make([]int, nReq)
-				r2.SampleDistinct(buf, nReq, n, -1)
-				for i, v := range buf {
-					reqs2[i] = int32(v)
-				}
-			}
-			got := s.Run(n, reqs2, p, r2, 0, workers)
-			resultsEqual(t, fmt.Sprintf("workers=%d", workers), res, got)
 		}
 	})
 }

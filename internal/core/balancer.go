@@ -16,14 +16,13 @@ import (
 // A phase costs O(participants), not O(n), and allocates nothing in
 // steady state: the machine hands over the heavy set in ascending id
 // order (HeavyIDs), per-processor phase state resets lazily on first
-// use (touch), the collision games run on the sharded collision
-// kernel, and every per-phase buffer lives in a reusable arena. See
+// use (touch), the collision games run on a reused collision.Scratch,
+// and every per-phase buffer lives in a reusable arena. See
 // docs/PERFORMANCE.md for the determinism argument.
 type Balancer struct {
-	cfg     Config
-	n       int
-	workers int
-	rng     *xrand.Stream
+	cfg Config
+	n   int
+	rng *xrand.Stream
 
 	// Per-phase scratch, reused across phases. An entry is valid in
 	// the current phase only once touch has stamped it with curEpoch.
@@ -94,13 +93,11 @@ func (b *Balancer) ExtendMetrics(m *engine.Metrics) {
 	m.AddExtra("collision_rounds", b.sumRounds)
 }
 
-// Init implements sim.Balancer. The balancer adopts the machine's
-// worker-shard count; any count produces bit-identical trajectories.
+// Init implements sim.Balancer.
 func (b *Balancer) Init(m *sim.Machine) {
 	if m.N() != b.n {
 		panic(fmt.Sprintf("core: balancer built for n=%d installed on n=%d", b.n, m.N()))
 	}
-	b.workers = m.Workers()
 	b.rng = xrand.New(b.cfg.Seed ^ 0xb5c0_ffee)
 	b.lightAt = make([]bool, b.n)
 	b.assigned = make([]bool, b.n)
@@ -336,7 +333,7 @@ func (b *Balancer) growTrees(m *sim.Machine, searchers []int32, ps *PhaseStats) 
 		ps.Rounds++
 		ps.Requests += int64(len(searchers))
 
-		res := b.col.Run(b.n, searchers, cfg.Collision, b.rng, 0, b.workers)
+		res := b.col.Run(b.n, searchers, cfg.Collision, b.rng, 0)
 		ps.Messages += res.Messages
 		ps.Steps += res.Steps
 		m.AddCommRounds(int64(res.Rounds))

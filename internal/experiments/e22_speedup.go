@@ -13,7 +13,7 @@ func init() {
 	register(Experiment{
 		ID:         "E22",
 		Title:      "Self-speedup vs worker count",
-		PaperClaim: "beyond the paper (its parallelism is the simulated machine's): the simulator's sharded balancing phase should scale with host cores while producing a bit-identical trajectory at every worker count",
+		PaperClaim: "beyond the paper (its parallelism is the simulated machine's): the simulator's sharded passes, the generate/consume sweep and the sparse engine's catch-up sync, should scale with host cores while producing a bit-identical trajectory at every worker count",
 		Run:        runE22,
 	})
 }
@@ -43,7 +43,7 @@ func runE22(cfg RunConfig) (*Result, error) {
 	res := &Result{
 		ID:         "E22",
 		Title:      "Self-speedup vs worker count",
-		PaperClaim: "worker count is a pure accelerator: identical trajectory, wall clock ideally scaling toward the host's core count",
+		PaperClaim: "worker count is a pure accelerator of the generate/consume sweep and the sparse sync: identical trajectory, wall clock ideally scaling toward the host's core count",
 		Columns:    []string{"workers", "steps/s", "speedup vs 1", "digest"},
 	}
 

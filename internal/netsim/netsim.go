@@ -10,8 +10,8 @@
 // then send order), so protocols built on netsim are reproducible.
 //
 // The message vocabulary lives in internal/transport (netsim keeps
-// Message as an alias under its historical name), and Network
-// implements transport.Transport. Simulated fault plans attach here
+// Message as an alias under its historical name); internal/proto
+// drives a *Network directly. Simulated fault plans attach here
 // (SetFaults, SetGone); the node runtime's real networks
 // get theirs from internal/transport/chaostrans.
 //
@@ -33,11 +33,7 @@ import (
 // historical name).
 type Message = transport.Message
 
-// Network implements the full transport contract.
-var (
-	_ transport.Transport   = (*Network)(nil)
-	_ transport.KindCounter = (*Network)(nil)
-)
+var _ transport.KindCounter = (*Network)(nil)
 
 // Network is a synchronous unit-latency network among n processors.
 // It is not safe for concurrent use; the distributed protocol drives
@@ -232,8 +228,7 @@ func (nw *Network) Sent() int64 { return nw.sent }
 // per message kind, for verbose and fault output.
 func (nw *Network) SentByKind() [transport.KindMax]int64 { return nw.kindSent }
 
-// Stats implements transport.Transport, aggregating the individual
-// counter accessors.
+// Stats aggregates the individual counter accessors.
 func (nw *Network) Stats() transport.Stats {
 	return transport.Stats{
 		Sent:       nw.sent,
@@ -244,14 +239,6 @@ func (nw *Network) Stats() transport.Stats {
 		GoneLost:   nw.goneLost,
 	}
 }
-
-// LocalAddr implements transport.Transport; the in-memory network has
-// no real endpoint.
-func (nw *Network) LocalAddr() string { return "mem" }
-
-// Close implements transport.Transport; the in-memory network holds no
-// resources.
-func (nw *Network) Close() error { return nil }
 
 // PeakInbox returns the largest inbox size ever delivered — the
 // paper's collision effect means protocol logic must stay correct even

@@ -18,9 +18,7 @@ func (s *sinkTrans) N() int                        { return s.n }
 func (s *sinkTrans) Send(m transport.Message)      { s.sent = append(s.sent, m) }
 func (s *sinkTrans) Deliver()                      {}
 func (s *sinkTrans) Inbox(int) []transport.Message { return nil }
-func (s *sinkTrans) Step() int64                   { return 0 }
 func (s *sinkTrans) Stats() transport.Stats        { return transport.Stats{} }
-func (s *sinkTrans) LocalAddr() string             { return "sink" }
 func (s *sinkTrans) Close() error                  { return nil }
 func (s *sinkTrans) acks() (count int, lastSeq int32) {
 	for _, m := range s.sent {

@@ -36,7 +36,6 @@ func (b *memBus) view(ids []int32) *memView {
 type memView struct {
 	bus   *memBus
 	ids   []int32
-	step  int64
 	stats transport.Stats
 	kinds [transport.KindMax]int64
 }
@@ -74,7 +73,6 @@ func (v *memView) Send(m transport.Message) {
 // frames once, and recycling would keep that burst allocated for the
 // fleet's life.
 func (v *memView) Deliver() {
-	v.step++
 	b := v.bus
 	for _, id := range v.ids {
 		old := b.cur[id]
@@ -88,17 +86,11 @@ func (v *memView) Deliver() {
 // Inbox implements transport.Transport.
 func (v *memView) Inbox(p int) []transport.Message { return v.bus.cur[p] }
 
-// Step implements transport.Transport.
-func (v *memView) Step() int64 { return v.step }
-
 // Stats implements transport.Transport.
 func (v *memView) Stats() transport.Stats { return v.stats }
 
 // SentByKind implements transport.KindCounter.
 func (v *memView) SentByKind() [transport.KindMax]int64 { return v.kinds }
-
-// LocalAddr implements transport.Transport.
-func (v *memView) LocalAddr() string { return "mem" }
 
 // Close implements transport.Transport: the endpoint's ids go down and
 // whatever was queued for them dies with it, as frames in a killed

@@ -17,9 +17,7 @@ func (s nullTrans) N() int                        { return s.n }
 func (s nullTrans) Send(transport.Message)        {}
 func (s nullTrans) Deliver()                      {}
 func (s nullTrans) Inbox(int) []transport.Message { return nil }
-func (s nullTrans) Step() int64                   { return 0 }
 func (s nullTrans) Stats() transport.Stats        { return transport.Stats{} }
-func (s nullTrans) LocalAddr() string             { return "null" }
 func (s nullTrans) Close() error                  { return nil }
 
 // refPick is the sort-based partner draw the id-ordered walk replaces:

@@ -2,11 +2,12 @@
 // simulator.
 //
 // The simulator advances all n processors in lock step; within a step
-// the per-processor work (generation, consumption, query evaluation)
-// is independent, so it is sharded over a worker pool. Shard
-// boundaries depend only on (n, workers) and all randomness is drawn
-// from per-processor streams, so results are identical for any worker
-// count — parallelism is purely an accelerator.
+// the per-processor work (sim's generate/consume sweep, the sparse
+// engine's catch-up sync, the load folds) is independent, so it is
+// sharded over a worker pool. Shard boundaries depend only on
+// (n, workers) and all randomness is drawn from per-processor streams,
+// so results are identical for any worker count — parallelism is
+// purely an accelerator.
 package par
 
 import (
@@ -26,10 +27,9 @@ const minShardLen = 64
 
 // shardTask is one dispatched shard. Tasks travel the pool channel by
 // value and the WaitGroups are pooled, so dispatching allocates
-// nothing — the hot paths (the collision kernel, the per-step machine
-// shards) stay zero-alloc as long as the caller's f does not itself
-// allocate (reuse f across calls; a fresh closure literal per call is
-// one small allocation at the call site).
+// nothing — the per-step machine shards stay zero-alloc as long as the
+// caller's f does not itself allocate (reuse f across calls; a fresh
+// closure literal per call is one small allocation at the call site).
 type shardTask struct {
 	fn            func(shard, lo, hi int)
 	wg            *sync.WaitGroup
@@ -93,7 +93,7 @@ func shardCount(n, workers int) int {
 // reduces the shard count (see minShardLen) so no shard is trivially
 // small or empty.
 //
-// f must not itself call Ranges, RangesReduce or For: shards run on a
+// f must not itself call Ranges or RangesReduce: shards run on a
 // fixed pool of workers, so nesting could occupy every worker with
 // parents waiting on children.
 func Ranges(n, workers int, f func(shard, lo, hi int)) {

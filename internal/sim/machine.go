@@ -250,9 +250,6 @@ func (m *Machine) N() int { return m.n }
 // Now returns the current step count.
 func (m *Machine) Now() int64 { return m.now }
 
-// Workers returns the configured shard count hint.
-func (m *Machine) Workers() int { return m.workers }
-
 // Model returns the installed generation model.
 func (m *Machine) Model() gen.Model { return m.model }
 

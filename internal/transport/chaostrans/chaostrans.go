@@ -150,9 +150,6 @@ func (t *Trans) Plan() faults.Plan { return t.inj.Plan() }
 // N implements transport.Transport.
 func (t *Trans) N() int { return t.inner.N() }
 
-// LocalAddr implements transport.Transport.
-func (t *Trans) LocalAddr() string { return t.inner.LocalAddr() }
-
 // Send implements transport.Transport: the frame draws a deterministic
 // fate before it can touch the wrapped transport. Dropped frames go
 // nowhere (the protocol's retries are the recovery, exactly as for a
@@ -218,14 +215,6 @@ func (t *Trans) Deliver() {
 
 // Inbox implements transport.Transport.
 func (t *Trans) Inbox(p int) []transport.Message { return t.inner.Inbox(p) }
-
-// Step implements transport.Transport: the chaos fault clock (Wrap's
-// start step plus the delivery windows opened through this wrapper).
-func (t *Trans) Step() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.step
-}
 
 // Stats implements transport.Transport: the wrapped transport's
 // counters with the injected fates folded in. Sent is the protocol

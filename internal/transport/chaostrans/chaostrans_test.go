@@ -17,7 +17,6 @@ type loopTrans struct {
 	mu       sync.Mutex
 	pending  map[int32][]transport.Message
 	current  map[int32][]transport.Message
-	step     int64
 	received int64
 }
 
@@ -29,9 +28,8 @@ func newLoop(n int) *loopTrans {
 	}
 }
 
-func (l *loopTrans) N() int            { return l.n }
-func (l *loopTrans) LocalAddr() string { return "loop" }
-func (l *loopTrans) Close() error      { return nil }
+func (l *loopTrans) N() int       { return l.n }
+func (l *loopTrans) Close() error { return nil }
 
 func (l *loopTrans) Send(m transport.Message) {
 	l.mu.Lock()
@@ -43,7 +41,6 @@ func (l *loopTrans) Send(m transport.Message) {
 func (l *loopTrans) Deliver() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.step++
 	for id := range l.current {
 		l.current[id] = l.current[id][:0]
 	}
@@ -57,12 +54,6 @@ func (l *loopTrans) Inbox(p int) []transport.Message {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.current[int32(p)]
-}
-
-func (l *loopTrans) Step() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.step
 }
 
 func (l *loopTrans) Stats() transport.Stats {

@@ -215,7 +215,6 @@ type Trans struct {
 	pending [][]transport.Message // arrivals per local id
 	current [][]transport.Message // readable window
 	routes  []*sconn              // learned reply route
-	step    int64
 
 	sent       atomic.Int64
 	dropped    atomic.Int64
@@ -308,14 +307,6 @@ func (t *Trans) isLocal(id int32) bool {
 	return ok && t.local[s]
 }
 
-// LocalAddr implements transport.Transport.
-func (t *Trans) LocalAddr() string {
-	if t.ln == nil {
-		return t.cfg.Network + ":client"
-	}
-	return t.ln.Addr().String()
-}
-
 // Stats implements transport.Transport. Socket transports have no
 // simulated fault machinery: Dropped counts frames this endpoint gave
 // up on (no route, full queue, dead connection) and GoneLost counts
@@ -335,14 +326,6 @@ func (t *Trans) SentByKind() [transport.KindMax]int64 {
 		out[i] = t.kindSent[i].Load()
 	}
 	return out
-}
-
-// Step implements transport.Transport: the count of delivery windows
-// opened so far.
-func (t *Trans) Step() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.step
 }
 
 // Send implements transport.Transport: frames m onto the pending batch
@@ -425,7 +408,6 @@ func (t *Trans) outboxFor(id int32) (out *outbox, closing bool) {
 func (t *Trans) Deliver() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.step++
 	for _, s := range t.locals {
 		t.current[s], t.pending[s] = t.pending[s], t.current[s][:0]
 	}

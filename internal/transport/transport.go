@@ -140,7 +140,7 @@ type Stats struct {
 	GoneLost   int64
 }
 
-// Transport is the substrate contract the protocol core speaks
+// Transport is the substrate contract the node runtime speaks
 // exclusively. The model is the paper's synchronous step: Send
 // enqueues, Deliver opens a new delivery window, Inbox reads what
 // arrived for a local processor. In-memory transports deliver with
@@ -161,15 +161,10 @@ type Transport interface {
 	// socket transport does when Deliver swaps each id's arrivals in.
 	// A caller that keeps a message past the next Deliver copies it.
 	Inbox(p int) []Message
-	// Step is the number of Deliver calls so far — the transport's
-	// clock, which timeouts and fault schedules are keyed on.
-	Step() int64
 	// Stats returns the cumulative delivery counters.
 	Stats() Stats
-	// LocalAddr names the local endpoint: "mem" for the in-memory
-	// network, the listener address for socket transports.
-	LocalAddr() string
-	// Close releases the transport's resources (a no-op in memory).
+	// Close releases the transport's resources; the ids it hosts stop
+	// receiving.
 	Close() error
 }
 
