@@ -82,10 +82,10 @@ shootout:
 	$(GO) run ./cmd/experiments -run E26 -quick $(if $(POLICIES),-policies $(POLICIES))
 
 # Frontier run: the sparse event-driven engine at full scale (E27,
-# n=2^20..2^27). Needs ~12 GB RAM at the top size: the ~11 GB machine
-# plus the collision kernel's 5 B per processor (+0.67 GB at 2^27;
-# +19 MB of live heap measured at 2^22). Runs for minutes;
-# `make experiments-quick` covers the same table in seconds.
+# n=2^20..2^27). Needs ~9 GB RAM at the top size: the sparse machine
+# holds 68 B per processor (272 MB of live heap measured at 2^22),
+# 8.5 GiB at 2^27. Runs for minutes; `make experiments-quick` covers
+# the same table in seconds.
 frontier:
 	$(GO) run ./cmd/experiments -run E27
 

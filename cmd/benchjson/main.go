@@ -236,10 +236,12 @@ func verdict(or, nr Result) (flag string, regressed bool) {
 }
 
 // runCompare prints a benchstat-style delta table of new vs old, with
-// the ns/op quartile bands of folded benchmarks. Regressions are
-// flagged in the table and summarized on stderr, but never change the
-// exit code — the committed baseline moves only when a human decides it
-// should.
+// the ns/op quartile bands of folded benchmarks, then names the rows
+// only one file has: old rows that match no new benchmark are stale (a
+// deleted or renamed benchmark still in the baseline), new rows are
+// missing from the baseline. Regressions are flagged in the table and
+// summarized on stderr, but never change the exit code — the committed
+// baseline moves only when a human decides it should.
 func runCompare(oldPath, newPath string, w io.Writer) error {
 	oldF, err := load(oldPath)
 	if err != nil {
@@ -257,6 +259,16 @@ func runCompare(oldPath, newPath string, w io.Writer) error {
 	for _, r := range oldF.Results {
 		oldBy[key{r.Name, r.Procs}] = r
 	}
+	newBy := make(map[key]bool, len(newF.Results))
+	for _, r := range newF.Results {
+		newBy[key{r.Name, r.Procs}] = true
+	}
+	var onlyOld, onlyNew []string
+	for _, r := range oldF.Results {
+		if !newBy[key{r.Name, r.Procs}] {
+			onlyOld = append(onlyOld, rowName(r))
+		}
+	}
 	fmt.Fprintf(w, "benchjson compare: %s (old, %s) vs %s (new, %s)\n",
 		oldPath, oldF.Generated, newPath, newF.Generated)
 	fmt.Fprintf(w, "%-64s %14s %14s %8s %10s\n", "benchmark", "old ns/op", "new ns/op", "delta", "allocs/op")
@@ -264,6 +276,9 @@ func runCompare(oldPath, newPath string, w io.Writer) error {
 	matched := 0
 	for _, nr := range newF.Results {
 		or, ok := oldBy[key{nr.Name, nr.Procs}]
+		if !ok {
+			onlyNew = append(onlyNew, rowName(nr))
+		}
 		if !ok || or.NsPerOp == 0 {
 			continue
 		}
@@ -287,11 +302,32 @@ func runCompare(oldPath, newPath string, w io.Writer) error {
 	if matched == 0 {
 		fmt.Fprintln(w, "(no common benchmarks)")
 	}
+	for _, only := range []struct {
+		path, other string
+		rows        []string
+	}{{oldPath, newPath, onlyOld}, {newPath, oldPath, onlyNew}} {
+		if len(only.rows) == 0 {
+			continue
+		}
+		fmt.Fprintf(w, "%d row(s) only in %s, with no match in %s:\n", len(only.rows), only.path, only.other)
+		for _, name := range only.rows {
+			fmt.Fprintf(w, "  %s\n", name)
+		}
+	}
 	if regressions > 0 {
 		fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed: quartile bands separate, or a single run grew more than %.0f%% (warn-only)\n",
 			regressions, regressThreshold*100)
 	}
 	return nil
+}
+
+// rowName prints a result's benchmark as go test does, with the -P
+// parallelism suffix when P is not 1.
+func rowName(r Result) string {
+	if r.Procs == 1 {
+		return r.Name
+	}
+	return fmt.Sprintf("%s-%d", r.Name, r.Procs)
 }
 
 // parse scans go-test benchmark output from r, echoing every line to

@@ -155,8 +155,13 @@ func TestRunCompare(t *testing.T) {
 	if !strings.Contains(got, "BenchmarkB") || !strings.Contains(got, "WARN: regression") {
 		t.Fatalf("regression not flagged:\n%s", got)
 	}
-	if strings.Contains(got, "BenchmarkOldOnly") || strings.Contains(got, "BenchmarkNewOnly") {
-		t.Fatalf("unmatched benchmarks should be skipped:\n%s", got)
+	table, only, _ := strings.Cut(got, "row(s) only in ")
+	if strings.Contains(table, "BenchmarkOldOnly") || strings.Contains(table, "BenchmarkNewOnly") {
+		t.Fatalf("unmatched benchmarks should get no delta row:\n%s", got)
+	}
+	if !strings.Contains(got, "1 row(s) only in "+oldPath+", with no match in "+newPath+":\n  BenchmarkOldOnly\n") ||
+		!strings.Contains(only, "1 row(s) only in "+newPath+", with no match in "+oldPath+":\n  BenchmarkNewOnly\n") {
+		t.Fatalf("rows only one file has should be named:\n%s", got)
 	}
 	if !strings.Contains(got, "10->0") {
 		t.Fatalf("allocs delta missing:\n%s", got)

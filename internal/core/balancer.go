@@ -26,12 +26,9 @@ type Balancer struct {
 
 	// Per-phase scratch, reused across phases. An entry is valid in
 	// the current phase only once touch has stamped it with curEpoch.
-	lightAt  []bool  // light at phase start
-	assigned []bool  // reserved as balancing partner this phase
-	inTree   []bool  // currently an active searcher
+	flags    []uint8 // flag* bits
 	boss     []int32 // tree root of each participating processor
 	partner  []int32 // boss -> chosen light partner (-1 none)
-	matched  []bool  // boss -> already matched this phase
 	epoch    []uint32
 	curEpoch uint32
 
@@ -62,6 +59,14 @@ type Balancer struct {
 }
 
 var _ sim.Balancer = (*Balancer)(nil)
+
+// Per-processor phase flags, one byte per processor.
+const (
+	flagLight    uint8 = 1 << iota // light at phase start
+	flagAssigned                   // reserved as balancing partner this phase
+	flagInTree                     // currently an active searcher
+	flagMatched                    // boss -> already matched this phase
+)
 
 // New constructs the balancer for a machine of n processors. Zero
 // config fields are filled with the paper's defaults for n.
@@ -99,12 +104,9 @@ func (b *Balancer) Init(m *sim.Machine) {
 		panic(fmt.Sprintf("core: balancer built for n=%d installed on n=%d", b.n, m.N()))
 	}
 	b.rng = xrand.New(b.cfg.Seed ^ 0xb5c0_ffee)
-	b.lightAt = make([]bool, b.n)
-	b.assigned = make([]bool, b.n)
-	b.inTree = make([]bool, b.n)
+	b.flags = make([]uint8, b.n)
 	b.boss = make([]int32, b.n)
 	b.partner = make([]int32, b.n)
-	b.matched = make([]bool, b.n)
 	b.epoch = make([]uint32, b.n)
 	b.curEpoch = 0
 	b.heavies = b.heavies[:0]
@@ -222,7 +224,7 @@ func (b *Balancer) runPhase(m *sim.Machine) {
 		}
 		for _, s := range searchers {
 			b.boss[s] = s
-			b.inTree[s] = true
+			b.flags[s] |= flagInTree
 		}
 		b.growTrees(m, searchers, &ps)
 	}
@@ -277,10 +279,10 @@ func (b *Balancer) touch(m *sim.Machine, p int32) {
 	if b.cfg.ByWeight {
 		l = m.WeightedLoad(int(p))
 	}
-	b.lightAt[p] = l <= int64(b.cfg.LightThreshold)
-	b.assigned[p] = false
-	b.inTree[p] = false
-	b.matched[p] = false
+	b.flags[p] = 0
+	if l <= int64(b.cfg.LightThreshold) {
+		b.flags[p] = flagLight
+	}
 	b.partner[p] = -1
 }
 
@@ -306,8 +308,8 @@ func (b *Balancer) preRound(m *sim.Machine, heavies []int32, ps *PhaseStats) []i
 	for i, h := range heavies {
 		t := targets[i]
 		b.touch(m, t)
-		if b.preHits[t] == 1 && t != h && b.lightAt[t] && !b.assigned[t] {
-			b.assigned[t] = true
+		if b.preHits[t] == 1 && t != h && b.applicative(t) {
+			b.flags[t] |= flagAssigned
 			moved := b.transferBlock(m, h, t)
 			ps.Transferred += int64(moved)
 			ps.Matched++
@@ -340,9 +342,9 @@ func (b *Balancer) growTrees(m *sim.Machine, searchers []int32, ps *PhaseStats) 
 
 		next = next[:0]
 		for i, s := range searchers {
-			b.inTree[s] = false
+			b.flags[s] &^= flagInTree
 			root := b.boss[s]
-			if b.matched[root] {
+			if b.flags[root]&flagMatched != 0 {
 				continue // the tree already found a partner
 			}
 			if !res.Satisfied[i] {
@@ -364,7 +366,7 @@ func (b *Balancer) growTrees(m *sim.Machine, searchers []int32, ps *PhaseStats) 
 			for _, t := range group {
 				if b.applicative(t) {
 					anyApplicative = true
-					b.assigned[t] = true
+					b.flags[t] |= flagAssigned
 					b.sendID(root, t, ps)
 				}
 			}
@@ -383,8 +385,8 @@ func (b *Balancer) growTrees(m *sim.Machine, searchers []int32, ps *PhaseStats) 
 		// Drop searchers whose tree got matched this round.
 		alive := next[:0]
 		for _, s := range next {
-			if b.matched[b.boss[s]] {
-				b.inTree[s] = false
+			if b.flags[b.boss[s]]&flagMatched != 0 {
+				b.flags[s] &^= flagInTree
 				continue
 			}
 			alive = append(alive, s)
@@ -398,7 +400,7 @@ func (b *Balancer) growTrees(m *sim.Machine, searchers []int32, ps *PhaseStats) 
 // applicative reports whether processor t can be reserved as a
 // balancing partner: light at phase start and not yet reserved.
 func (b *Balancer) applicative(t int32) bool {
-	return b.lightAt[t] && !b.assigned[t]
+	return b.flags[t]&(flagLight|flagAssigned) == flagLight
 }
 
 // sendID delivers an id message from light processor t to root. The
@@ -423,7 +425,7 @@ func (b *Balancer) settle(m *sim.Machine, ps *PhaseStats) {
 	for _, root := range b.newPartners {
 		moved := b.transferBlock(m, root, b.partner[root])
 		ps.Transferred += int64(moved)
-		b.matched[root] = true
+		b.flags[root] |= flagMatched
 		ps.Matched++
 	}
 	b.newPartners = b.newPartners[:0]
@@ -432,10 +434,10 @@ func (b *Balancer) settle(m *sim.Machine, ps *PhaseStats) {
 // appendSearcher adds s to the next-round searcher set under root,
 // unless it is already active in some tree.
 func appendSearcher(b *Balancer, next []int32, s, root int32) []int32 {
-	if b.inTree[s] {
+	if b.flags[s]&flagInTree != 0 {
 		return next
 	}
-	b.inTree[s] = true
+	b.flags[s] |= flagInTree
 	b.boss[s] = root
 	return append(next, s)
 }

@@ -625,6 +625,9 @@ func (m *Machine) Step() {
 		// heavy index exact before the balancer looks at it — then let
 		// the balancer run; everyone else stays un-replayed until
 		// something reads or moves their load.
+		if m.now > e.stepLimit {
+			panic(fmt.Sprintf("sim: sparse machine cannot run step %d: its int32 step stamps end at step %d", m.now, e.stepLimit))
+		}
 		e.target = m.now
 		e.syncHeavy(m)
 		e.processDue(m)

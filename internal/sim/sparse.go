@@ -21,10 +21,12 @@
 //     possible heavy-threshold crossing: a processor d below the
 //     threshold cannot become heavy for ceil(d / maxGenPerStep) steps
 //     (the gen.Bounded contract), so it need not be looked at before
-//     then. Heavy processors are not in the wheel at all — the step
-//     loop walks the heavy list directly (it is small, by Lemma 4) and
-//     demotes on the spot, so the wheel's hot pop path never touches
-//     heavy-set bookkeeping for the common light-stays-light case.
+//     then. Each wheel bucket is an n-bit id bitset, so a due bucket
+//     pops in ascending id order with no sort. Heavy processors are
+//     not in the wheel at all — the step loop walks the heavy list
+//     directly (it is small, by Lemma 4) and demotes on the spot, so
+//     the wheel's hot pop path never touches heavy-set bookkeeping for
+//     the common light-stays-light case.
 //     Together the two passes keep the heavy set exact at the moment
 //     the balancer reads it; balancers iterate HeavyIDs() instead of
 //     sweeping all n loads.
@@ -37,6 +39,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync/atomic"
@@ -46,34 +49,32 @@ import (
 	"plb/internal/xrand"
 )
 
-// wheelSpan is the timing wheel's bucket count (a power of two). Due
-// steps farther out than the span simply lap the wheel: an entry whose
-// real due step has not arrived when its bucket pops is re-appended and
+// wheelSpan caps the timing wheel's ring length (a power of two).
+// ConfigureHeavyIndex sizes the ring to the smallest power of two
+// above the longest due delta, dueDelta(0), so no schedule laps it.
+// Each bucket is an n-bit id bitset, so a ring of r buckets costs r/8
+// bytes per processor (2 B for bfm98's ring of 16 at n=2^20). Under a
+// threshold whose deltas exceed the cap, schedules lap: an entry whose
+// real due step has not arrived when its bucket pops keeps its bit and
 // waits another lap, so far-future schedules stay correct at the cost
-// of one wasted look per span. The span is kept small on purpose: every
-// bucket retains its high-water capacity between laps, so the ring's
-// resident memory is span * (live entries / recheck period) — at
-// n=2^27 a 1024-slot ring would pin tens of gigabytes while a 64-slot
-// one stays under a few, and dueDelta is bounded by the heavy
-// threshold (a few dozen at most under the paper's T = log^2 log n),
-// so real schedules never lap anyway.
+// of one wasted look per lap.
 const wheelSpan = 1 << 6
 
-// noSchedule marks a processor with no live wheel entry. It must be
-// distinct from every reachable due step, including due 0 scheduled
-// while the pre-step sync target is still -1 (a plain 0 sentinel would
-// read as "already scheduled at step 0" and silently swallow the
-// initial ConfigureHeavyIndex schedules).
-const noSchedule = int64(-1 << 62)
+// noSchedule marks a processor with no live wheel entry. It is below
+// every reachable due step, including due 0 scheduled while the
+// pre-step sync target is still -1, so a popped bucket drops it as
+// stale.
+const noSchedule = math.MinInt32
 
 // procSparse is one processor's lazy-sync state. The two fields are
 // deliberately in one struct: a wheel recheck reads scheduled and then
 // lastSync for the same processor, so packing them puts both on a
 // single cache line and halves the random-access misses of the hot
-// pop path.
+// pop path. Both are int32 step stamps; stepLimit keeps the clock
+// where they cannot wrap.
 type procSparse struct {
-	lastSync  int64 // last step replayed
-	scheduled int64 // live due step in the wheel (noSchedule = none)
+	lastSync  int32 // last step replayed
+	scheduled int32 // live due step in the wheel (noSchedule = none)
 }
 
 type sparseEngine struct {
@@ -89,10 +90,15 @@ type sparseEngine struct {
 	heavyPos    []int32 // processor -> position in heavy, -1 absent
 	heavySorted bool
 
-	// Timing wheel.
-	wheel   [][]int32 // due-bucket ring, indexed by step & (wheelSpan-1)
-	popBuf  []int32
-	sortBuf []int32 // radix-sort scratch for the due-bucket walk
+	// Timing wheel: a ring of id bitsets, bucket b in
+	// wheel[b*words:(b+1)*words], indexed by due step & mask.
+	wheel []uint64
+	mask  int64
+	words int
+
+	// stepLimit is the last step the machine may run: every stamp it
+	// stores, a due step up to dueDelta(0) ahead included, fits int32.
+	stepLimit int64
 
 	// Per-shard counters (syncAll replays shards in parallel).
 	completedShard []int64
@@ -105,8 +111,8 @@ func newSparseEngine(n, shards int) *sparseEngine {
 		target:         -1,
 		procs:          make([]procSparse, n),
 		heavyPos:       make([]int32, n),
-		wheel:          make([][]int32, wheelSpan),
 		heavySorted:    true,
+		stepLimit:      math.MaxInt32,
 		completedShard: make([]int64, shards),
 		syncedShard:    make([]int64, shards),
 		replayedShard:  make([]int64, shards),
@@ -146,6 +152,14 @@ func (m *Machine) ConfigureHeavyIndex(heavyT int, byWeight bool) {
 	bm := m.model.(gen.Bounded) // guaranteed by validateSparse
 	e.heavyT = heavyT
 	e.maxGen = bm.MaxGenPerStep()
+	span := int64(wheelSpan)
+	if d := e.dueDelta(0); e.maxGen > 0 && d < wheelSpan {
+		span = 1 << bits.Len64(uint64(d))
+	}
+	e.mask = span - 1
+	e.words = (m.n + 63) / 64
+	e.wheel = make([]uint64, span*int64(e.words))
+	e.stepLimit = math.MaxInt32 - e.dueDelta(0)
 	for p := 0; p < m.n; p++ {
 		e.reclassify(m, p)
 	}
@@ -236,15 +250,16 @@ func (e *sparseEngine) completedTotal() int64 {
 // sequentially (shard 0 counters).
 func (e *sparseEngine) syncOne(m *Machine, p int) {
 	ps := &e.procs[p]
-	if ps.lastSync >= e.target {
+	last := int64(ps.lastSync)
+	if last >= e.target {
 		return
 	}
-	g, c := m.replaySteps(p, ps.lastSync, e.target)
+	g, c := m.replaySteps(p, last, e.target)
 	m.gens[0] += g
 	e.completedShard[0] += c
 	e.syncedShard[0]++
-	e.replayedShard[0] += e.target - ps.lastSync
-	ps.lastSync = e.target
+	e.replayedShard[0] += e.target - last
+	ps.lastSync = int32(e.target)
 }
 
 // syncAll catches every processor up to the sync target, sharded in
@@ -259,15 +274,16 @@ func (e *sparseEngine) syncAll(m *Machine) {
 		var g, c, synced, replayed int64
 		for p := lo; p < hi; p++ {
 			ps := &e.procs[p]
-			if ps.lastSync >= e.target {
+			last := int64(ps.lastSync)
+			if last >= e.target {
 				continue
 			}
-			gg, cc := m.replaySteps(p, ps.lastSync, e.target)
+			gg, cc := m.replaySteps(p, last, e.target)
 			g += gg
 			c += cc
 			synced++
-			replayed += e.target - ps.lastSync
-			ps.lastSync = e.target
+			replayed += e.target - last
+			ps.lastSync = int32(e.target)
 		}
 		m.gens[shard] += g
 		e.completedShard[shard] += c
@@ -391,87 +407,49 @@ func (e *sparseEngine) syncHeavy(m *Machine) {
 
 // processDue pops the wheel bucket for the current step and rechecks
 // every processor whose scheduled crossing step has arrived. Entries
-// are lazily deleted: a processor rescheduled since it was inserted
-// leaves a stale entry behind (scheduled no longer matches), and a
-// far-future entry laps the wheel until its real due step comes up.
-// Only light processors are ever scheduled, so the hot path is
-// light-stays-light: sync, reschedule, no heavy-set access at all. The
-// popped bucket and popBuf swap backing arrays instead of copying.
+// are lazily deleted: a processor rescheduled since its bit was set
+// leaves a stale bit behind (scheduled no longer matches), and a
+// far-future entry keeps its bit and laps the wheel until its real due
+// step comes up. Only light processors are ever scheduled, so the hot
+// path is light-stays-light: sync, reschedule, no heavy-set access at
+// all. The bitset pops in ascending processor order: the recheck
+// itself is order-independent (private streams, commutative
+// counters), but an ascending walk turns the per-entry
+// procs/loads/streams accesses into a near-sequential sweep the
+// hardware prefetcher can stream. A reschedule lands in this same
+// bucket only with a delta of a whole ring (a lap, or a model that
+// never generates); the rescheduled processor's word was read into w
+// and cleared before its walk, so the new bit stays for the next lap.
 func (e *sparseEngine) processDue(m *Machine) {
 	if e.heavyT <= 0 {
 		return
 	}
 	t := e.target
-	b := &e.wheel[t&(wheelSpan-1)]
-	if len(*b) == 0 {
-		return
-	}
-	buf := *b
-	*b = e.popBuf[:0]
-	// Process in ascending processor order: the recheck itself is
-	// order-independent (private streams, commutative counters), but a
-	// sorted walk turns the per-entry procs/loads/streams accesses
-	// into a near-sequential sweep the hardware prefetcher can stream,
-	// where append order would take a full cache miss per entry. The
-	// sort is a few percent of the walk; the misses it removes are not.
-	e.sortDue(buf, m.n)
-	for _, p := range buf {
-		ps := &e.procs[p]
-		d := ps.scheduled
-		switch {
-		case d == t:
-			ps.scheduled = noSchedule
-			e.syncOne(m, int(p))
-			if int(m.loads[p]) >= e.heavyT {
-				e.heavyAdd(p) // scheduled already cleared above
-			} else {
-				e.schedule(p, t+e.dueDelta(int(m.loads[p])))
+	b := e.wheel[(t&e.mask)*int64(e.words):][:e.words]
+	for i := range b {
+		w := b[i]
+		if w == 0 {
+			continue
+		}
+		b[i] = 0
+		for ; w != 0; w &= w - 1 {
+			p := int32(i<<6 | bits.TrailingZeros64(w))
+			ps := &e.procs[p]
+			switch d := int64(ps.scheduled); {
+			case d == t:
+				ps.scheduled = noSchedule
+				e.syncOne(m, int(p))
+				if int(m.loads[p]) >= e.heavyT {
+					e.heavyAdd(p) // scheduled already cleared above
+				} else {
+					e.schedule(p, t+e.dueDelta(int(m.loads[p])))
+				}
+			case d > t:
+				b[i] |= w & -w // lapped early; wait another lap
 			}
-		case d > t && d != noSchedule:
-			*b = append(*b, p) // lapped early; wait another span
+			// d < t (noSchedule included): stale bit of a rescheduled
+			// (or already fired) entry.
 		}
-		// d < t or d == noSchedule: stale duplicate of a rescheduled
-		// (or already fired) entry.
-	}
-	e.popBuf = buf[:0]
-}
-
-// sortDue sorts bucket entries ascending in place with a byte-wise LSD
-// radix sort over reusable scratch — entry values are processor ids in
-// [0, n), so ceil(bits(n-1)/8) sequential counting+scatter passes
-// replace the comparison sort whose cost rivaled the walk it was
-// saving. Small buckets fall back to the stdlib sort.
-func (e *sparseEngine) sortDue(buf []int32, n int) {
-	if len(buf) < 1<<9 {
-		slices.Sort(buf)
-		return
-	}
-	if cap(e.sortBuf) < len(buf) {
-		e.sortBuf = make([]int32, len(buf))
-	}
-	src, dst := buf, e.sortBuf[:len(buf)]
-	var counts [256]int32
-	for shift := uint(0); (n-1)>>shift != 0; shift += 8 {
-		for i := range counts {
-			counts[i] = 0
-		}
-		for _, v := range src {
-			counts[uint32(v)>>shift&255]++
-		}
-		pos := int32(0)
-		for i, c := range counts {
-			counts[i] = pos
-			pos += c
-		}
-		for _, v := range src {
-			b := uint32(v) >> shift & 255
-			dst[counts[b]] = v
-			counts[b]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &buf[0] { // odd pass count: copy the result back
-		copy(buf, src)
 	}
 }
 
@@ -509,7 +487,7 @@ func (e *sparseEngine) dueDelta(load int) int64 {
 		// The model never generates: the load can only fall, so the
 		// processor can never cross upward. Recheck once per lap to
 		// keep the entry alive (transfers reclassify eagerly anyway).
-		return wheelSpan
+		return e.mask + 1
 	}
 	d := (int64(e.heavyT) - int64(load) + int64(e.maxGen) - 1) / int64(e.maxGen)
 	if d < 1 {
@@ -518,21 +496,20 @@ func (e *sparseEngine) dueDelta(load int) int64 {
 	return d
 }
 
-// schedule inserts a wheel entry for p at step due. An earlier live
-// entry wins (early rechecks are harmless, missing one is not); the
-// superseded later entry turns stale and is dropped when its bucket
-// pops.
+// schedule sets p's bit in the wheel bucket of step due. An earlier
+// live entry wins (early rechecks are harmless, missing one is not);
+// the superseded later entry turns stale and is dropped when its
+// bucket pops.
 func (e *sparseEngine) schedule(p int32, due int64) {
 	if due <= e.target {
 		due = e.target + 1
 	}
 	ps := &e.procs[p]
-	if s := ps.scheduled; s != noSchedule && s > e.target && s <= due {
+	if s := int64(ps.scheduled); s > e.target && s <= due {
 		return
 	}
-	ps.scheduled = due
-	b := &e.wheel[due&(wheelSpan-1)]
-	*b = append(*b, p)
+	ps.scheduled = int32(due)
+	e.wheel[(due&e.mask)*int64(e.words)+int64(p>>6)] |= 1 << (p & 63)
 }
 
 func (e *sparseEngine) heavyAdd(p int32) {

@@ -96,7 +96,7 @@ func machineComponent(field, sub string) string {
 			return "sparse-procs"
 		case "heavy", "heavyPos":
 			return "heavy-index"
-		case "wheel", "popBuf", "sortBuf":
+		case "wheel":
 			return "timing-wheel"
 		}
 	case "bal":
@@ -143,6 +143,47 @@ func machineBytes(m *sim.Machine) map[string]int64 {
 	return c.by
 }
 
+// buildLockstep builds a machine as the lockstep benchmark workloads
+// build theirs (bfm98, seed 1, one worker shard) and runs its warm-up
+// steps.
+func buildLockstep(tb testing.TB, model string, n int, sparse bool, warmup int) *sim.Machine {
+	mdl, weigher, err := cli.BuildWorkload(model, n, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := sim.Config{N: n, Model: mdl, Weigher: weigher, Seed: 1, Sparse: sparse, Workers: 1}
+	if err := cli.InstallPolicy(&cfg, "bfm98", policy.Params{N: n, Seed: 1}); err != nil {
+		tb.Fatal(err)
+	}
+	m, err := sim.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m.Steps(warmup)
+	return m
+}
+
+// TestMachineBytesBudget holds the sparse machine's per-processor
+// state to its sizes. It builds the lockstep-sparse shape at n=2^14
+// with the workload's 96 warm-up steps, where bfm98's heavy threshold
+// sizes the timing wheel at 8 buckets of one bit per processor. The
+// sparse procs are two int32 step stamps, and the core phase arrays
+// one flag byte, three int32 columns (boss, partner, epoch) and a
+// small arena.
+func TestMachineBytesBudget(t *testing.T) {
+	const n = 1 << 14
+	by := machineBytes(buildLockstep(t, "single", n, true, 96))
+	for comp, budget := range map[string]float64{
+		"timing-wheel": 1,
+		"sparse-procs": 8,
+		"core-phase":   13.5,
+	} {
+		if got := float64(by[comp]) / n; got > budget {
+			t.Errorf("%s holds %.2f B per processor, budget %.1f", comp, got, budget)
+		}
+	}
+}
+
 // BenchmarkMachineBytes builds and warms the two lockstep benchmark
 // workloads' machines (lockstep-sparse: bfm98 on the sparse engine at
 // n=2^20 under Single(0.4, 0.1); lockstep-bursty: bfm98 on the dense
@@ -166,22 +207,6 @@ func BenchmarkMachineBytes(b *testing.B) {
 	}
 	for _, sh := range shapes {
 		b.Run(sh.name, func(b *testing.B) {
-			build := func() *sim.Machine {
-				model, weigher, err := cli.BuildWorkload(sh.model, sh.n, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg := sim.Config{N: sh.n, Model: model, Weigher: weigher, Seed: 1, Sparse: sh.sparse, Workers: 1}
-				if err := cli.InstallPolicy(&cfg, "bfm98", policy.Params{N: sh.n, Seed: 1}); err != nil {
-					b.Fatal(err)
-				}
-				m, err := sim.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				m.Steps(sh.warmup)
-				return m
-			}
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
@@ -189,7 +214,7 @@ func BenchmarkMachineBytes(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m = nil
-				m = build()
+				m = buildLockstep(b, sh.model, sh.n, sh.sparse, sh.warmup)
 			}
 			b.StopTimer()
 			runtime.GC()
