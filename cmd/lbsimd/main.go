@@ -161,13 +161,16 @@ func runDaemon(listen string, peers map[int32]string, idsF string, n int, seed u
 		if proc.Active() {
 			fail(fmt.Errorf("lbsimd: -faults carries a crash/flap schedule; a real daemon dies by SIGKILL — kill this process and restart it with -epoch %d", epoch+1))
 		}
+		if link.Seed == 0 {
+			link.Seed = seed
+		}
+		inj, ierr := faults.NewInjector(n, link)
+		if ierr != nil {
+			fail(ierr)
+		}
 		// A restarted daemon shares no clock with its previous life, so
 		// its fault clock starts at 0.
-		ch, werr := chaostrans.Wrap(sock, link, seed, 0)
-		if werr != nil {
-			fail(werr)
-		}
-		tr = ch
+		tr = chaostrans.Wrap(sock, inj, 0)
 	}
 
 	cfg := node.Config{N: n, Seed: seed, Heavy: 2 * stats.PaperT(n) * max(scale, 1),

@@ -19,9 +19,9 @@ func init() {
 }
 
 // runE16 runs the atomic (internal/core) and distributed
-// (internal/proto, real messages with unit latency over
-// internal/netsim) implementations on the same burst workload with the
-// same thresholds and compares the Theorem 1 quantities. Both runs go
+// (internal/proto, real messages with unit latency over the in-memory
+// bus) implementations on the same burst workload with the same
+// thresholds and compares the Theorem 1 quantities. Both runs go
 // through engine.Drive, and the per-implementation counters (heavy
 // classifications, matches) are drawn from the unified engine.Metrics
 // extension counters the balancers publish.

@@ -1,10 +1,10 @@
 // Package faults is the deterministic fault-injection substrate: it
 // turns a declarative, seedable Plan (message drop/duplicate/delay
 // probabilities, processor crash/recover schedules, network partitions,
-// straggler slowdowns) into per-event verdicts that the network
-// (internal/netsim), the steppers (internal/sim, internal/proto) and
-// the node fleet's chaos layer (internal/transport/chaostrans for
-// links, the node.Fleet supervisor for crashes) consult.
+// straggler slowdowns) into per-event verdicts. Link fates have one
+// consumer, the internal/transport/chaostrans middleware, over the
+// in-memory bus and sockets alike; crash schedules drive the steppers
+// (internal/sim, internal/proto) and the node.Fleet supervisor.
 //
 // The paper assumes a perfect unit-latency network and immortal
 // processors; this package exists to measure how far the protocol's
@@ -439,7 +439,7 @@ func (inj *Injector) Crashed(p int32, step int64) bool {
 
 // DownOracle returns a crash oracle in the shape sim.Machine.SetDown
 // wants. skew translates the machine clock to the fault clock (the
-// distributed protocol's netsim step runs one ahead of the machine
+// distributed protocol's delivery windows run one ahead of the machine
 // step during a balancer step). This is the substrate simulating
 // physics — a dead processor executes nothing — not a protocol
 // decision; protocol-visible liveness comes from internal/detect.

@@ -13,6 +13,7 @@ import (
 	"plb/internal/task"
 	"plb/internal/transport"
 	"plb/internal/transport/chaostrans"
+	"plb/internal/transport/membus"
 	"plb/internal/transport/socktrans"
 )
 
@@ -67,7 +68,6 @@ type endpoint struct {
 	// carry it as their transfer epoch.
 	incarnation int
 	tr          transport.Transport // what the nodes see (chaos wrap or raw)
-	chaos       *chaostrans.Trans   // non-nil when a link plan is active
 	nodes       []*Node
 }
 
@@ -83,13 +83,13 @@ type Fleet struct {
 	cfg   FleetConfig
 	eps   []*endpoint
 	table map[int32]string // id -> advertised address (revives rebind it)
-	bus   *memBus          // the mem network; nil over sockets
+	bus   *membus.Bus      // the mem network; nil over sockets
 	now   int64
 	loads []int32
 	dir   string
 
-	linkPlan faults.Plan
-	procInj  *faults.Injector // kill/revive schedule; nil without one
+	linkInj *faults.Injector // every endpoint's link fates; nil without a link plan
+	procInj *faults.Injector // kill/revive schedule; nil without one
 
 	// corpses are the statuses of killed incarnations, snapshotted at
 	// the kill — the supervisor is also the coroner, so in-process
@@ -140,7 +140,11 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		if proc.Seed == 0 {
 			proc.Seed = cfg.Seed
 		}
-		f.linkPlan = link
+		if link.Active() {
+			if f.linkInj, err = faults.NewInjector(cfg.N, link); err != nil {
+				return nil, fmt.Errorf("node: fleet link faults: %w", err)
+			}
+		}
 		if proc.Active() {
 			inj, err := faults.NewInjector(cfg.N, proc)
 			if err != nil {
@@ -165,7 +169,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			return nil, fmt.Errorf("node: fleet dir: %w", err)
 		}
 	case "mem":
-		f.bus = newMemBus(cfg.N)
+		f.bus = membus.New(cfg.N)
 	}
 	listenAddr := func(e int) string {
 		if cfg.Network == "unix" {
@@ -218,7 +222,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 func (f *Fleet) boot(ep *endpoint, clock int64) error {
 	var inner transport.Transport
 	if f.bus != nil {
-		inner = f.bus.view(ep.ids)
+		inner = f.bus.View(ep.ids)
 	} else {
 		sock, err := socktrans.New(socktrans.Config{
 			Network: f.cfg.Network, Listen: ep.listen,
@@ -237,14 +241,8 @@ func (f *Fleet) boot(ep *endpoint, clock int64) error {
 		inner = sock
 	}
 	ep.tr = inner
-	ep.chaos = nil
-	if f.linkPlan.Active() {
-		ch, err := chaostrans.Wrap(inner, f.linkPlan, f.cfg.Seed, clock)
-		if err != nil {
-			inner.Close()
-			return err
-		}
-		ep.tr, ep.chaos = ch, ch
+	if f.linkInj != nil {
+		ep.tr = chaostrans.Wrap(inner, f.linkInj, clock)
 	}
 	ep.up = true
 	return nil

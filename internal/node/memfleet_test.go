@@ -6,7 +6,6 @@ import (
 
 	"plb/internal/engine"
 	"plb/internal/faults"
-	"plb/internal/transport"
 )
 
 // memRun drives one chaos fleet on the mem network and returns its
@@ -70,57 +69,6 @@ func TestMemFleetSeedExact(t *testing.T) {
 	loadsC, mC := memRun(t, 8)
 	if reflect.DeepEqual(loadsA, loadsC) || reflect.DeepEqual(mA, mC) {
 		t.Fatal("seeds 7 and 8 gave identical runs")
-	}
-}
-
-// TestMemBusAccounting checks the bus's per-endpoint delivery and its
-// loss books: out-of-fleet ids are GoneLost, down ids CrashLost, a
-// close discards the frames still queued for the endpoint, and a
-// drained burst does not stay allocated.
-func TestMemBusAccounting(t *testing.T) {
-	bus := newMemBus(4)
-	a, b := bus.view([]int32{0, 1}), bus.view([]int32{2, 3})
-	a.Send(transport.Message{From: 0, To: 2, Kind: transport.KindQuery})
-	a.Send(transport.Message{From: 0, To: 1, Kind: transport.KindHeartbeat})
-	a.Send(transport.Message{From: 0, To: 4, Kind: transport.KindJoin})
-	a.Send(transport.Message{From: 0, To: -1, Kind: transport.KindJoin})
-	b.Deliver()
-	if got := b.Inbox(2); len(got) != 1 || got[0].Kind != transport.KindQuery {
-		t.Fatalf("inbox 2 = %v, want the query at the next window", got)
-	}
-	if got := a.Inbox(1); len(got) != 0 {
-		t.Fatalf("inbox 1 read %v before its endpoint delivered", got)
-	}
-	a.Deliver()
-	if got := a.Inbox(1); len(got) != 1 {
-		t.Fatalf("inbox 1 = %v after delivery", got)
-	}
-	b.Send(transport.Message{From: 2, To: 0, Kind: transport.KindID})
-	a.Close()
-	b.Send(transport.Message{From: 2, To: 1, Kind: transport.KindID})
-	a2 := bus.view([]int32{0, 1})
-	a2.Deliver()
-	if got := a2.Inbox(0); len(got) != 0 {
-		t.Fatalf("frame queued before the close survived it: %v", got)
-	}
-	if got, want := a.Stats(), (transport.Stats{Sent: 4, GoneLost: 2}); got != want {
-		t.Fatalf("sender stats = %+v, want %+v", got, want)
-	}
-	if got, want := b.Stats(), (transport.Stats{Sent: 2, CrashLost: 1}); got != want {
-		t.Fatalf("stats across a close = %+v, want %+v", got, want)
-	}
-	if k := b.SentByKind(); k[transport.KindID] != 2 {
-		t.Fatalf("kind counts = %v", k)
-	}
-	// A burst's buffers are released once drained, not kept for life.
-	for i := 0; i < 200; i++ {
-		a2.Send(transport.Message{From: 0, To: 2, Kind: transport.KindJoin})
-	}
-	for i := 0; i < 4; i++ {
-		b.Deliver()
-	}
-	if c := cap(bus.cur[2]) + cap(bus.next[2]); c > 128 {
-		t.Fatalf("id 2 still holds %d slots after its burst drained", c)
 	}
 }
 

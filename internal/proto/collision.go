@@ -25,7 +25,7 @@ func (b *Balancer) beginPhase(m *sim.Machine) {
 	}
 	b.phaseOpen = true
 	b.ps = core.PhaseStats{Start: m.Now(), Steps: b.cfg.ScheduleSteps()}
-	b.sentAt = b.nw.Stats().Sent
+	b.sentAt = b.tr.Stats().Sent
 	b.accounted = 0
 	b.heavies = b.heavies[:0]
 
@@ -76,7 +76,7 @@ func (b *Balancer) beginPhase(m *sim.Machine) {
 				view := b.mem.ViewOf(h)
 				tgt = view[b.rng.Intn(len(view))]
 			}
-			b.nw.Send(transport.Message{From: h, To: tgt, Kind: transport.KindProbe})
+			b.tr.Send(transport.Message{From: h, To: tgt, Kind: transport.KindProbe})
 		}
 	} else {
 		for _, h := range b.heavies {
@@ -91,7 +91,7 @@ func (b *Balancer) beginPhase(m *sim.Machine) {
 // processProbes handles the Section 4.3 pre-round on the target side.
 func (b *Balancer) processProbes() {
 	for p := 0; p < b.n; p++ {
-		inbox := b.nw.Inbox(p)
+		inbox := b.tr.Inbox(p)
 		var probe *transport.Message
 		probes := 0
 		for i := range inbox {
@@ -109,7 +109,7 @@ func (b *Balancer) processProbes() {
 		}
 		st.assigned = true
 		st.reservedFor = probe.From
-		b.nw.Send(transport.Message{From: int32(p), To: probe.From, Kind: transport.KindID})
+		b.tr.Send(transport.Message{From: int32(p), To: probe.From, Kind: transport.KindID})
 	}
 }
 
@@ -193,7 +193,7 @@ func (b *Balancer) sendQueries(s int32, now int64) {
 		if st.acceptedBy[i] {
 			continue
 		}
-		b.nw.Send(transport.Message{From: s, To: tgt, Kind: transport.KindQuery, A: st.boss})
+		b.tr.Send(transport.Message{From: s, To: tgt, Kind: transport.KindQuery, A: st.boss})
 	}
 }
 
@@ -203,7 +203,7 @@ func (b *Balancer) sendQueries(s int32, now int64) {
 // none of them (the collision effect).
 func (b *Balancer) processQueries() {
 	for p := 0; p < b.n; p++ {
-		inbox := b.nw.Inbox(p)
+		inbox := b.tr.Inbox(p)
 		nq := 0
 		for _, msg := range inbox {
 			if msg.Kind == transport.KindQuery {
@@ -229,9 +229,9 @@ func (b *Balancer) processQueries() {
 				st.assigned = true
 				st.reservedFor = msg.A
 				// The id message goes straight to the tree root.
-				b.nw.Send(transport.Message{From: int32(p), To: msg.A, Kind: transport.KindID})
+				b.tr.Send(transport.Message{From: int32(p), To: msg.A, Kind: transport.KindID})
 			}
-			b.nw.Send(transport.Message{From: int32(p), To: msg.From, Kind: transport.KindAccept, A: msg.A, B: flag})
+			b.tr.Send(transport.Message{From: int32(p), To: msg.From, Kind: transport.KindAccept, A: msg.A, B: flag})
 		}
 	}
 }
@@ -248,7 +248,7 @@ func (b *Balancer) tallyAccepts(now int64) {
 		if b.down(int32(p)) {
 			continue // crashed searchers send nothing
 		}
-		for _, msg := range b.nw.Inbox(p) {
+		for _, msg := range b.tr.Inbox(p) {
 			if msg.Kind != transport.KindAccept {
 				continue
 			}
@@ -311,7 +311,7 @@ func (b *Balancer) levelWrapUp(level int, now int64) {
 			// Both siblings cannot accept load: they keep searching.
 			// The parent coordinates (one forward message each).
 			for _, t := range group {
-				b.nw.Send(transport.Message{From: int32(p), To: t, Kind: transport.KindForward, A: st.boss})
+				b.tr.Send(transport.Message{From: int32(p), To: t, Kind: transport.KindForward, A: st.boss})
 			}
 		}
 	}
@@ -334,7 +334,7 @@ func (b *Balancer) levelWrapUp(level int, now int64) {
 // forwarded processors join the search.
 func (b *Balancer) collectIDs(now int64) {
 	for p := 0; p < b.n; p++ {
-		for _, msg := range b.nw.Inbox(p) {
+		for _, msg := range b.tr.Inbox(p) {
 			switch msg.Kind {
 			case transport.KindID:
 				st := &b.procs[p]

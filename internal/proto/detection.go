@@ -18,9 +18,9 @@ import (
 // machinery (KindTransfer applies a block, KindTransferAck closes the
 // sender's outstanding record).
 func (b *Balancer) observeTraffic(m *sim.Machine) {
-	now := b.nw.Step()
+	now := b.step
 	for p := 0; p < b.n; p++ {
-		for _, msg := range b.nw.Inbox(p) {
+		for _, msg := range b.tr.Inbox(p) {
 			b.det.Heard(msg.From, now)
 			switch msg.Kind {
 			case transport.KindTransfer:
@@ -50,7 +50,7 @@ func (b *Balancer) observeTraffic(m *sim.Machine) {
 // detector: detection latency, false suspicions, and crash windows
 // that closed undetected. Ground truth never feeds a protocol decision.
 func (b *Balancer) faultSweep(m *sim.Machine) {
-	now := b.nw.Step()
+	now := b.step
 	b.det.Tick(now)
 	for p := 0; p < b.n; p++ {
 		// Physical crash ground truth comes straight from the injector
@@ -103,7 +103,7 @@ func (b *Balancer) faultSweep(m *sim.Machine) {
 				tgt = b.pickViewPeer(int32(p))
 			}
 			if tgt >= 0 {
-				b.nw.Send(transport.Message{From: int32(p), To: tgt, Kind: transport.KindHeartbeat})
+				b.tr.Send(transport.Message{From: int32(p), To: tgt, Kind: transport.KindHeartbeat})
 				b.hbSent++
 			}
 		}
@@ -118,7 +118,7 @@ func (b *Balancer) faultSweep(m *sim.Machine) {
 				st.xferTries++
 				st.xferSentAt = now
 				b.xferRetries++
-				b.nw.Send(transport.Message{From: int32(p), To: st.xferTo, Kind: transport.KindTransfer,
+				b.tr.Send(transport.Message{From: int32(p), To: st.xferTo, Kind: transport.KindTransfer,
 					A: st.xferAmt, B: st.xferSeq})
 			}
 		}

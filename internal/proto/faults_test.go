@@ -188,8 +188,8 @@ func TestCrashFreezesAndRecovers(t *testing.T) {
 func TestBossCrashReleasesReservations(t *testing.T) {
 	n := 64
 	cfg := DefaultConfig(n)
-	// Boss 0 opens its tree at offset 0, hears accepts by netsim step
-	// 3, then dies mid-phase — well before the settle offset.
+	// Boss 0 opens its tree at offset 0, hears accepts by delivery
+	// window 3, then dies mid-phase — well before the settle offset.
 	cfg.Faults = &faults.Plan{Crashes: []faults.Crash{{Proc: 0, At: 4, Recover: 1 << 30}}}
 	var released, abandoned int
 	cfg.OnPhase = func(ps core.PhaseStats) {

@@ -42,7 +42,7 @@ const joinSeedCount = 3
 // and decides admissions, pumps drain custody hand-off, and runs the
 // post-view-change rebalance pass.
 func (b *Balancer) memSweep(m *sim.Machine) {
-	now := b.nw.Step()
+	now := b.step
 	joins, leaves := b.inj.ChurnDue(now)
 	leaves += b.inj.DrainDue(now)
 	if joins > 0 {
@@ -153,15 +153,15 @@ func (b *Balancer) sendJoinVolley(j int32) {
 		if i == 0 {
 			a = 1
 		}
-		b.nw.Send(transport.Message{From: j, To: s, Kind: transport.KindJoin, A: a})
+		b.tr.Send(transport.Message{From: j, To: s, Kind: transport.KindJoin, A: a})
 	}
 }
 
 // broadcast sends one copy of msg from processor from to every present
 // peer — membership announcements. O(present) messages per view
 // change, amortized over the churn period; this is the one deliberate
-// violation of the per-step constant-degree budget, and it is visible
-// in PeakSendDegree on churn runs.
+// violation of the per-step constant-degree budget, and a per-window
+// send-degree count (TestBoundedSendDegree's) sees it on churn runs.
 func (b *Balancer) broadcast(from int32, msg transport.Message) {
 	msg.From = from
 	for p := int32(0); int(p) < b.n; p++ {
@@ -169,7 +169,7 @@ func (b *Balancer) broadcast(from int32, msg transport.Message) {
 			continue
 		}
 		msg.To = p
-		b.nw.Send(msg)
+		b.tr.Send(msg)
 	}
 }
 

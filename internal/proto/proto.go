@@ -3,10 +3,12 @@
 // exchanges real messages over a unit-latency synchronous network,
 // following the pseudocode of Figure 2.
 //
-// The balancer runs on the in-memory synchronous network
-// (internal/netsim), whose hooks carry the simulated fault plans; the
-// golden digests pin that configuration. Real networks are the node
-// runtime's job (internal/node).
+// The balancer runs on one view of every id of the in-memory bus
+// (internal/transport/membus); the golden digests pin that
+// configuration. Under a fault plan a chaostrans wrapper draws every
+// frame's link fate, and the bus empties the inboxes of crashed or
+// absent processors at delivery. Real networks are the node runtime's
+// job (internal/node).
 //
 // internal/core implements the same algorithm with the collision games
 // evaluated atomically at phase starts and communication merely
@@ -65,9 +67,10 @@ import (
 	"plb/internal/engine"
 	"plb/internal/faults"
 	"plb/internal/membership"
-	"plb/internal/netsim"
 	"plb/internal/sim"
 	"plb/internal/transport"
+	"plb/internal/transport/chaostrans"
+	"plb/internal/transport/membus"
 	"plb/internal/xrand"
 )
 
@@ -263,7 +266,10 @@ type Balancer struct {
 	cfg Config
 	n   int
 	rng *xrand.Stream
-	nw  *netsim.Network
+	tr  transport.Transport
+	// step counts the delivery windows opened so far: the fault clock,
+	// one ahead of the machine step during a balancer step.
+	step int64
 
 	procs     []procState
 	heavies   []int32 // roots of this phase
@@ -391,8 +397,8 @@ func (b *Balancer) ExtendMetrics(m *engine.Metrics) {
 	m.AddExtra("phases", b.totalPhases)
 	m.AddExtra("heavy", b.totalHeavy)
 	m.AddExtra("matched", b.totalMatched)
-	if b.nw != nil {
-		st := b.nw.Stats()
+	if b.tr != nil {
+		st := b.tr.Stats()
 		m.AddExtra("net_sent", st.Sent)
 		if b.inj != nil {
 			// Faulted runs surface every link counter unconditionally so
@@ -403,9 +409,11 @@ func (b *Balancer) ExtendMetrics(m *engine.Metrics) {
 			m.AddExtra("net_crash_lost", st.CrashLost)
 			// Per-kind send mix, keyed by Kind.String() names, so fault
 			// output says which traffic class paid for the degradation.
-			for k, c := range b.nw.SentByKind() {
-				if c > 0 {
-					m.AddExtra("sent_"+transport.Kind(k).String(), c)
+			if kc, ok := b.tr.(transport.KindCounter); ok {
+				for k, c := range kc.SentByKind() {
+					if c > 0 {
+						m.AddExtra("sent_"+transport.Kind(k).String(), c)
+					}
 				}
 			}
 		} else {
@@ -440,7 +448,7 @@ func (b *Balancer) ExtendMetrics(m *engine.Metrics) {
 		m.AddExtra("mem_pool", int64(b.mem.PoolSize()))
 		m.AddExtra("mem_rebalances", b.memRebalances)
 		m.AddExtra("mem_handoff", b.memHandoff)
-		m.AddExtra("mem_absent_lost", b.nw.Stats().GoneLost)
+		m.AddExtra("mem_absent_lost", b.tr.Stats().GoneLost)
 	}
 }
 
@@ -450,13 +458,26 @@ func (b *Balancer) Init(m *sim.Machine) {
 		panic(fmt.Sprintf("proto: balancer built for n=%d installed on n=%d", b.n, m.N()))
 	}
 	b.rng = xrand.New(b.cfg.Seed ^ 0xd157)
-	nw, err := netsim.New(b.n)
-	if err != nil {
-		panic(err) // New validated n already
+	bus := membus.New(b.n)
+	ids := make([]int32, b.n)
+	for p := range ids {
+		ids[p] = int32(p)
 	}
-	b.nw = nw
+	b.tr = bus.View(ids)
 	if b.inj != nil {
-		b.nw.SetFaults(b.inj)
+		// The wrapper draws fates from the whole plan, so frames to or
+		// from a crashed processor drop at send; the check discards
+		// frames already in flight when their recipient crashed or left.
+		b.tr = chaostrans.Wrap(b.tr, b.inj, 0)
+		bus.SetCheck(func(p int32, win int64) membus.Loss {
+			switch {
+			case b.inj.Crashed(p, win):
+				return membus.CrashLost
+			case b.mem != nil && b.mem.Gone(p):
+				return membus.GoneLost
+			}
+			return membus.Kept
+		})
 		// The fault clock is the transport step, which runs one ahead of
 		// the machine step during a balancer step (Deliver happens
 		// first); DownOracle translates so schedules mean the same
@@ -502,7 +523,6 @@ func (b *Balancer) Init(m *sim.Machine) {
 				return crash(p, now) || b.mem.Gone(int32(p))
 			})
 			m.SetGenOff(func(p int, now int64) bool { return b.mem.GenOff(int32(p)) })
-			b.nw.SetGone(func(p int32, step int64) bool { return b.mem.Gone(p) })
 		}
 	}
 	b.procs = make([]procState, b.n)
@@ -522,7 +542,8 @@ func (b *Balancer) Init(m *sim.Machine) {
 // boundaries only mark game resets and the forward/retry hand-off.
 func (b *Balancer) Step(m *sim.Machine) {
 	offset := int(m.Now() % int64(b.cfg.PhaseLen))
-	b.nw.Deliver()
+	b.tr.Deliver()
+	b.step++
 	if b.inj != nil {
 		b.observeTraffic(m)
 		b.faultSweep(m)

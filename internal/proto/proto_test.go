@@ -8,6 +8,8 @@ import (
 	"plb/internal/faults"
 	"plb/internal/gen"
 	"plb/internal/sim"
+	"plb/internal/transport"
+	"plb/internal/transport/membus"
 )
 
 func TestScheduleLen(t *testing.T) {
@@ -327,6 +329,71 @@ func TestDegradesGracefullyUnderMessageLoss(t *testing.T) {
 	}
 }
 
+// degreeCounter wraps a transport and records the most frames any one
+// sender sent within one delivery window.
+type degreeCounter struct {
+	transport.Transport
+	sent []int32
+	peak int32
+}
+
+func (d *degreeCounter) Send(m transport.Message) {
+	d.sent[m.From]++
+	d.peak = max(d.peak, d.sent[m.From])
+	d.Transport.Send(m)
+}
+
+func (d *degreeCounter) Deliver() {
+	clear(d.sent)
+	d.Transport.Deliver()
+}
+
+// TestPeakSendDegree checks the counter TestBoundedSendDegree reads: it
+// takes the most frames one sender sent in a window, restarts each
+// sender's count when a window is delivered, and keeps the peak.
+func TestPeakSendDegree(t *testing.T) {
+	dc := &degreeCounter{Transport: membus.New(4).View([]int32{0, 1, 2, 3}), sent: make([]int32, 4)}
+	for i := 0; i < 7; i++ {
+		dc.Send(transport.Message{From: 1, To: 2})
+	}
+	dc.Send(transport.Message{From: 0, To: 2})
+	if dc.peak != 7 {
+		t.Fatalf("peak send degree = %d, want 7", dc.peak)
+	}
+	dc.Deliver()
+	for i := 0; i < 5; i++ {
+		dc.Send(transport.Message{From: 1, To: 3})
+	}
+	dc.Send(transport.Message{From: 3, To: 0})
+	if dc.peak != 7 {
+		t.Fatalf("peak send degree = %d after a new window, want the historical 7", dc.peak)
+	}
+}
+
+// TestNilFaultsKeepsPerfectNetwork checks that a balancer without an
+// active fault plan sends on the raw bus view, which delivers a frame
+// whole at the next window.
+func TestNilFaultsKeepsPerfectNetwork(t *testing.T) {
+	n := 64
+	for _, plan := range []*faults.Plan{nil, {}} {
+		cfg := DefaultConfig(n)
+		cfg.Faults = plan
+		_, b := distMachine(t, n, cfg, 3)
+		v, ok := b.tr.(*membus.View)
+		if !ok {
+			t.Fatalf("plan %+v: transport is %T, want the raw bus view", plan, b.tr)
+		}
+		v.Send(transport.Message{From: 0, To: 1, Kind: transport.KindQuery, A: 5})
+		v.Deliver()
+		if in := v.Inbox(1); len(in) != 1 || in[0].A != 5 {
+			t.Fatalf("plan %+v: inbox = %+v, want the one frame", plan, in)
+		}
+		if got := v.Stats(); got != (transport.Stats{Sent: 1}) {
+			t.Fatalf("plan %+v: Stats = %+v, want one frame sent and none lost", plan, got)
+		}
+	}
+}
+
 // TestBoundedSendDegree enforces the paper's machine-model constraint:
 // a processor communicates with at most a constant number of others
 // per step. For the distributed balancer that constant is a (queries)
@@ -342,13 +409,15 @@ func TestBoundedSendDegree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dc := &degreeCounter{Transport: b.tr, sent: make([]int32, n)}
+	b.tr = dc
 	for p := 0; p < 8; p++ {
 		m.Inject(p*32, cfg.HeavyThreshold*2)
 	}
 	m.Run(4 * cfg.PhaseLen)
-	limit := cfg.Collision.A + cfg.Collision.C + 3
-	if got := b.nw.PeakSendDegree(); got > limit {
-		t.Fatalf("send degree %d exceeds model constant %d", got, limit)
+	limit := int32(cfg.Collision.A + cfg.Collision.C + 3)
+	if dc.peak == 0 || dc.peak > limit {
+		t.Fatalf("send degree %d, want within (0, %d]", dc.peak, limit)
 	}
 }
 

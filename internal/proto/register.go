@@ -11,7 +11,7 @@ func init() {
 	policy.Register(policy.Spec{
 		Name:    "bfm98-dist",
 		Aliases: []string{"proto"},
-		Summary: "the paper's protocol as message-passing state machines over netsim; the only sim policy with a perturbable network",
+		Summary: "the paper's protocol as message-passing state machines over the in-memory bus; the only sim policy with a perturbable network",
 		Caps:    policy.Caps{Backend: "sim", Faults: true, Detect: true, Churn: true},
 		Install: func(cfg *sim.Config, p policy.Params) error {
 			c := DefaultConfig(p.N)

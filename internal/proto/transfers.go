@@ -20,7 +20,7 @@ func (b *Balancer) applyTransfer(m *sim.Machine, p int32, msg transport.Message)
 	for _, s := range st.seen {
 		if s == msg.B {
 			b.xferDup++
-			b.nw.Send(transport.Message{From: p, To: msg.From, Kind: transport.KindTransferAck, B: msg.B})
+			b.tr.Send(transport.Message{From: p, To: msg.From, Kind: transport.KindTransferAck, B: msg.B})
 			return
 		}
 	}
@@ -29,7 +29,7 @@ func (b *Balancer) applyTransfer(m *sim.Machine, p int32, msg transport.Message)
 	st.seenIdx = (st.seenIdx + 1) % int16(len(st.seen))
 	b.xferApplied++
 	b.ps.Transferred += int64(moved)
-	b.nw.Send(transport.Message{From: p, To: msg.From, Kind: transport.KindTransferAck, A: int32(moved), B: msg.B})
+	b.tr.Send(transport.Message{From: p, To: msg.From, Kind: transport.KindTransferAck, A: int32(moved), B: msg.B})
 }
 
 // ackTransfer is the sender side: the echo of our outstanding sequence
@@ -66,7 +66,7 @@ func (b *Balancer) shipBlock(m *sim.Machine, h, partner int32) int {
 func (b *Balancer) shipBlockN(m *sim.Machine, from, to int32, amt int) int {
 	if b.inj == nil {
 		moved := m.Transfer(int(from), int(to), amt)
-		b.nw.Send(transport.Message{From: from, To: to, Kind: transport.KindTransfer, A: int32(moved)})
+		b.tr.Send(transport.Message{From: from, To: to, Kind: transport.KindTransfer, A: int32(moved)})
 		return moved
 	}
 	b.xferSeq++
@@ -76,9 +76,9 @@ func (b *Balancer) shipBlockN(m *sim.Machine, from, to int32, amt int) int {
 	st.xferSeq = b.xferSeq
 	st.xferTo = to
 	st.xferAmt = int32(amt)
-	st.xferSentAt = b.nw.Step()
+	st.xferSentAt = b.step
 	st.xferTries = 1
-	b.nw.Send(transport.Message{From: from, To: to, Kind: transport.KindTransfer, A: st.xferAmt, B: st.xferSeq})
+	b.tr.Send(transport.Message{From: from, To: to, Kind: transport.KindTransfer, A: st.xferAmt, B: st.xferSeq})
 	return 0
 }
 
@@ -107,7 +107,7 @@ func (b *Balancer) lateSettle(m *sim.Machine) {
 // metrics incrementally, so late-tail traffic is accounted without
 // double-counting what settle already reported.
 func (b *Balancer) syncMessages(m *sim.Machine) {
-	cur := b.nw.Stats().Sent - b.sentAt
+	cur := b.tr.Stats().Sent - b.sentAt
 	if cur > b.accounted {
 		m.AddMessages(cur - b.accounted)
 		b.accounted = cur
@@ -132,7 +132,7 @@ func (b *Balancer) finishPhase(m *sim.Machine) {
 			m.AddRetries(int64(b.ps.Retries))
 		}
 	}
-	st := b.nw.Stats()
+	st := b.tr.Stats()
 	if lost := st.Dropped + st.CrashLost - b.dropMark; lost > 0 {
 		m.AddDrops(lost)
 		b.dropMark += lost

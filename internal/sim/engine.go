@@ -10,7 +10,7 @@ import "plb/internal/engine"
 // BackendNamer lets a Balancer rename the backend a Machine reports
 // through engine.Runner.Meta (internal/proto reports "proto": the
 // substrate is still the lockstep machine, but the algorithm runs as
-// message-passing state machines over netsim).
+// message-passing state machines over the in-memory bus).
 type BackendNamer interface {
 	BackendName() string
 }

@@ -1,30 +1,33 @@
-// Package chaostrans is transport-level fault injection for real
-// networks: a transport.Transport middleware that wraps any concrete
-// transport (TCP or UDS socktrans endpoints, or the in-memory network)
-// and executes the link-fault part of a faults.Plan at the frame
-// boundary, before a frame reaches the wrapped transport's sockets.
+// Package chaostrans is transport-level fault injection: a
+// transport.Transport middleware that wraps any concrete transport
+// (TCP or UDS socktrans endpoints, or a view of the in-memory bus) and
+// executes a fault plan's link faults at the frame boundary, before a
+// frame reaches the wrapped transport. It is the one place link fates
+// are drawn, for the lockstep protocol and the node runtime alike.
 //
 // The injection point is Send: every protocol frame draws its fate
-// from the same deterministic faults.Injector the simulated backends
-// use — a pure hash of (seed, step, sequence, endpoints) — so drop,
-// duplicate, delay and partition verdicts are seedable and replayable
-// even though the wrapped transport itself is only statistically
-// reproducible. A dropped frame never touches a socket; a duplicated
-// frame is written twice (the copy immediately, so a delayed original
-// also exercises reordering); a delayed frame is held locally and
-// released into the wrapped transport after the fated number of
-// delivery windows. Partitions cut cross-group frames until the
-// plan's healing step, after which traffic flows again — the heal is
-// what the socktrans reconnect jitter exists for.
+// from a deterministic faults.Injector — a pure hash of (seed, step,
+// sequence, endpoints) — so drop, duplicate, delay and partition
+// verdicts are seedable and replayable even though a socket transport
+// itself is only statistically reproducible. A dropped frame never
+// touches the wrapped transport; a duplicated frame is forwarded twice
+// (the copy immediately, so a delayed original also exercises
+// reordering); a delayed frame is held locally and released after the
+// fated number of delivery windows, so it arrives exactly that many
+// windows late. Partitions cut cross-group frames until the plan's
+// healing step, after which traffic flows again — the heal is what the
+// socktrans reconnect jitter exists for.
 //
-// chaostrans deliberately emulates only what a real network can do to
-// a frame in flight. Plan features that target processors rather than
-// links — crash and flap schedules — are the supervisor's job: a
+// On sockets chaostrans emulates only what a real network can do to a
+// frame in flight. Plan features that target processors rather than
+// links — crash and flap schedules — are the supervisor's job there: a
 // process dies by SIGKILL (or the in-process fleet's endpoint bounce),
 // not by a transport pretending. SplitPlan is the single place that
 // partitions a plan into the two halves and rejects the features
 // (membership churn, drain schedules, redistribute-on-recovery) that
-// have no deterministic real-network emulation at either level.
+// have no deterministic real-network emulation at either level. The
+// lockstep protocol wraps its bus view with an injector of its whole
+// plan instead, so Fate also drops frames to or from crashed ids.
 package chaostrans
 
 import (
@@ -113,39 +116,14 @@ func SplitPlan(p faults.Plan) (link, proc faults.Plan, err error) {
 	return link, proc, nil
 }
 
-// Wrap builds the middleware over inner for the link part of plan.
-// The plan must be link-only (SplitPlan's first return); a plan that
-// still carries process-level or rejected features is an error — the
-// caller is holding schedules that belong to a supervisor, and
-// silently ignoring them would report a chaos run that never ran.
-// A zero plan seed falls back to seed, keeping fault traces tied to
-// the run like every simulated backend does. step is where the fault
-// clock starts: the delivery windows the run has already opened, so a
-// revived endpoint keeps its fleet's clock (0 for a process that
-// shares no clock with anyone).
-func Wrap(inner transport.Transport, plan faults.Plan, seed uint64, step int64) (*Trans, error) {
-	link, proc, err := SplitPlan(plan)
-	if err != nil {
-		return nil, err
-	}
-	if proc.Active() {
-		return nil, fmt.Errorf("chaostrans: plan carries a crash/flap schedule; processes die by SIGKILL, not by the transport — hand the process part to the supervisor (SplitPlan)")
-	}
-	if link.Seed == 0 {
-		link.Seed = seed
-	}
-	inj, err := faults.NewInjector(inner.N(), link)
-	if err != nil {
-		return nil, err
-	}
-	return &Trans{inner: inner, inj: inj, step: step}, nil
+// Wrap builds the middleware over inner, drawing every frame's fate
+// from inj. A socket endpoint's injector is built from SplitPlan's
+// link half. step is where the fault clock starts: the delivery
+// windows the run has already opened, so a revived endpoint keeps its
+// fleet's clock (0 for a process that shares no clock with anyone).
+func Wrap(inner transport.Transport, inj *faults.Injector, step int64) *Trans {
+	return &Trans{inner: inner, inj: inj, step: step}
 }
-
-// Inner returns the wrapped transport.
-func (t *Trans) Inner() transport.Transport { return t.inner }
-
-// Plan returns the normalized link plan in effect.
-func (t *Trans) Plan() faults.Plan { return t.inj.Plan() }
 
 // N implements transport.Transport.
 func (t *Trans) N() int { return t.inner.N() }
@@ -190,10 +168,12 @@ func (t *Trans) Send(m transport.Message) {
 	}
 }
 
-// Deliver implements transport.Transport: advances the fault clock,
-// releases every held frame whose window has come, and opens the
-// wrapped transport's delivery window.
+// Deliver implements transport.Transport: opens the wrapped
+// transport's delivery window, advances the fault clock, and only then
+// releases every held frame whose time has come, so a frame fated
+// Delay = d is readable exactly d windows after an undelayed one.
 func (t *Trans) Deliver() {
+	t.inner.Deliver()
 	t.mu.Lock()
 	t.step++
 	var due []transport.Message
@@ -210,7 +190,6 @@ func (t *Trans) Deliver() {
 	for _, m := range due {
 		t.inner.Send(m)
 	}
-	t.inner.Deliver()
 }
 
 // Inbox implements transport.Transport.

@@ -1,21 +1,20 @@
 // Package transport defines the message vocabulary the distributed
 // protocol (internal/proto, internal/node) speaks and the transport
-// contract the node runtime runs on. A node addresses peers by
-// processor id and calls Send/Deliver/Inbox; *which* medium carries
-// the bytes — real sockets (internal/transport/socktrans) or the
-// fleet's in-memory bus — is an implementation of the Transport
-// interface the node never names. The lockstep protocol (internal/proto)
-// runs on the in-memory synchronous network (internal/netsim) directly.
+// contract both run on. A processor is addressed by id and calls
+// Send/Deliver/Inbox; *which* medium carries the bytes — real sockets
+// (internal/transport/socktrans) or the in-memory bus
+// (internal/transport/membus) — is an implementation of the Transport
+// interface the protocol never names.
 //
 // The split keeps three layers independent:
 //
-//	protocol core  (node)          — state machines over Message values
-//	transport      (this contract) — socktrans | in-memory bus, optionally under chaostrans
+//	protocol core  (proto, node)   — state machines over Message values
+//	transport      (this contract) — socktrans | membus, optionally under chaostrans
 //	wire           (internal/wire) — binary codec socket transports frame with
 //
 // Fault injection is not part of the contract: the chaostrans
-// middleware wraps any Transport and executes a plan's link faults at
-// the frame boundary.
+// middleware wraps any Transport and is the one place link faults are
+// drawn, at the frame boundary.
 package transport
 
 import (
